@@ -95,8 +95,6 @@ ClassificationCore::ClassificationCore(nn::Network& net,
     // each step), plus whether any suffix node reads the network input.
     const int n = net_->node_count();
     ensemble_golden_.resize(static_cast<std::size_t>(n));
-    row_cache_.assign(static_cast<std::size_t>(n),
-                      std::vector<Tensor>(golden_.images.size()));
     suffix_deps_.resize(static_cast<std::size_t>(n));
     suffix_needs_input_.assign(static_cast<std::size_t>(n), 0);
     std::vector<char> used;
@@ -393,7 +391,7 @@ const Tensor& ClassificationCore::ensemble_weight_step(
         {
             fault::WeightInjector::Scoped guard(injector_, fault);
             layer.forward_row_cached(inputs, fault.weight_index,
-                                     row_cache_[d][image], lane_buf_);
+                                     row_cache_[image], lane_buf_);
         }
         std::memcpy(frontier.data() + l * lane_sz, lane_buf_.data(),
                     lane_sz * sizeof(float));
@@ -444,6 +442,12 @@ void ClassificationCore::evaluate_weight_group(
 
     const int node = injector_.node_of_layer(faults.front().layer);
     const std::size_t count = golden_.images.size();
+    if (row_cache_node_ != node) {
+        // One node's row cache at a time: a worker claims groups from every
+        // layer, and a cache per visited conv would stay alive all run.
+        row_cache_.assign(count, Tensor());
+        row_cache_node_ = node;
+    }
 
     // Per-image loops mirror classify_active_fault: same image order, same
     // decision expressions, and inferences_ advances by the live lane count
@@ -614,8 +618,7 @@ std::size_t ClassificationCore::ensemble_bytes() const noexcept {
     std::size_t floats = lane_buf_.numel() + ensemble_input_.numel();
     for (const auto& t : ensemble_golden_) floats += t.numel();
     for (const auto& t : ensemble_scratch_) floats += t.numel();
-    for (const auto& per_node : row_cache_)
-        for (const auto& t : per_node) floats += t.numel();
+    for (const auto& t : row_cache_) floats += t.numel();
     return floats * sizeof(float);
 }
 

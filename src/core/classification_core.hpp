@@ -159,11 +159,12 @@ private:
     Tensor ensemble_input_;  ///< lane-stacked network input, when referenced
     Tensor lane_buf_;        ///< single-lane frontier reconstruction buffer
     std::vector<const Tensor*> lane_inputs_;
-    /// row_cache_[node][image]: input-derived scratch a layer keeps across
-    /// forward_row_cached calls (a conv's golden im2col matrix). Valid for
-    /// the life of the core — frontier inputs are golden activations, which
-    /// never change after construction.
-    std::vector<std::vector<Tensor>> row_cache_;
+    /// row_cache_[image]: input-derived scratch node row_cache_node_ keeps
+    /// across forward_row_cached calls (a conv's golden im2col matrix).
+    /// Valid until the node changes — frontier inputs are golden
+    /// activations, which never change after construction.
+    std::vector<Tensor> row_cache_;
+    int row_cache_node_ = -1;
     /// suffix_deps_[d]: producers p < d that some node > d reads — exactly
     /// the golden entries forward_from(d + 1) dereferences besides d itself.
     std::vector<std::vector<int>> suffix_deps_;

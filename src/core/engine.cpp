@@ -166,113 +166,284 @@ std::vector<DrawnFault> draw_plan(const fault::FaultUniverse& universe,
     return items;
 }
 
-CampaignResult CampaignEngine::run(const fault::FaultUniverse& universe,
-                                   const CampaignPlan& plan, stats::Rng rng,
-                                   const CancellationToken* cancel) {
-    telemetry::PhaseScope scope(telemetry_, "classify");
-    const auto start = std::chrono::steady_clock::now();
-    CampaignResult result = make_empty_result(
-        static_cast<std::size_t>(universe.layer_count()), plan);
-    const std::vector<DrawnFault> items =
-        draw_plan(universe, plan, std::move(rng));
-
-    // Classify; outcomes are deterministic per fault AND per group (the
-    // ensemble forward is bit-identical to the per-fault loop), so neither
-    // the partitioning nor the grouping can change the tallies.
-    std::vector<std::uint8_t> outcomes(items.size());
-    std::vector<std::uint8_t> evaluated(items.size(), 0);
-    const std::size_t workers = workers_.size();
-    const std::size_t width = std::max<std::size_t>(1, config().ensemble_width);
-
-    // Group boundaries: runs of consecutive items sharing (layer, model),
-    // capped at ensemble_width. draw_plan emits subpopulations in plan
-    // order, so same-layer items are adjacent and groups fill naturally.
-    std::vector<std::pair<std::size_t, std::size_t>> groups;
-    {
-        std::size_t i = 0;
-        while (i < items.size()) {
-            std::size_t j = i + 1;
-            while (j < items.size() && j - i < width &&
-                   items[j].fault.layer == items[i].fault.layer &&
-                   fault::same_ensemble_family(items[j].fault.model,
-                                               items[i].fault.model))
-                ++j;
-            groups.emplace_back(i, j);
-            i = j;
-        }
-    }
-
-    const auto work = [&](std::size_t w) {
-        std::vector<fault::Fault> batch;
-        std::vector<FaultOutcome> outs;
-        for (std::size_t g = w; g < groups.size(); g += workers) {
-            if (cancel && cancel->stop_requested()) return;
-            const auto [lo, hi] = groups[g];
-            batch.clear();
-            for (std::size_t i = lo; i < hi; ++i)
-                batch.push_back(items[i].fault);
-            outs.assign(batch.size(), FaultOutcome::NonCritical);
-            workers_[w]->core.evaluate_group(batch, outs.data());
-            for (std::size_t i = lo; i < hi; ++i) {
-                outcomes[i] = static_cast<std::uint8_t>(outs[i - lo]);
-                evaluated[i] = 1;
-            }
-        }
-    };
-    if (workers == 1) {
-        work(0);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(work, w);
-        for (auto& t : threads) t.join();
-    }
-
-    // The accumulation loop runs serially in canonical item order, so the
-    // estimator updates emitted here are a function of (plan, rng, model)
-    // alone — byte-identical across worker counts. Cadence: one update per
-    // stratum at each power-of-two done count, plus the final point below.
-    telemetry::EventLog* log = telemetry_ ? telemetry_->events() : nullptr;
-    std::vector<std::uint64_t> last_emit;
-    if (log)
-        last_emit.assign(plan.subpops.size(),
-                         std::numeric_limits<std::uint64_t>::max());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (!evaluated[i]) {
-            result.interrupted = true;
-            continue;
-        }
-        const std::size_t s = items[i].subpop;
-        SubpopResult& tally = result.subpops[s];
-        accumulate_outcome(tally, items[i].fault.layer,
-                           static_cast<FaultOutcome>(outcomes[i]));
-        if (log && (tally.injected & (tally.injected - 1)) == 0) {
-            emit_stratum_update(*log, s, tally.plan, tally.injected,
-                                tally.critical, plan.spec.confidence);
-            last_emit[s] = tally.injected;
-        }
-    }
-    if (log) {
-        // Final point per stratum — also the only point for strata an
-        // interruption left untouched (done = 0).
-        for (std::size_t s = 0; s < result.subpops.size(); ++s) {
-            const SubpopResult& sub = result.subpops[s];
-            if (last_emit[s] != sub.injected)
-                emit_stratum_update(*log, s, sub.plan, sub.injected,
-                                    sub.critical, plan.spec.confidence);
-        }
-    }
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return result;
-}
-
 CampaignFingerprint item_space_fingerprint(CampaignFingerprint fp,
                                            std::uint64_t item_count) {
     fp.universe_size = item_count;
     fp.model_id += "#items";
     return fp;
+}
+
+/// What one execution classifies. The census walks the universe and decodes
+/// each global index lazily — its faults are never materialized; a
+/// statistical run walks a drawn sample.
+struct CampaignEngine::Items {
+    const fault::FaultUniverse& universe;
+    const std::vector<DrawnFault>* drawn = nullptr;  ///< null: the census
+
+    [[nodiscard]] fault::Fault at(std::uint64_t i) const {
+        return drawn ? (*drawn)[i].fault : universe.decode(i);
+    }
+};
+
+/// What one execution produced over its item range [lo, hi); slot i of
+/// each vector describes item lo + i.
+struct CampaignEngine::Execution {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    std::vector<std::uint8_t> outcomes;  ///< FaultOutcome per slot
+    std::vector<std::uint8_t> done;      ///< 1: replayed or classified
+    bool complete = true;
+    std::uint64_t classified = 0;
+    std::uint64_t resumed = 0;
+
+    /// Accumulate the known outcomes of drawn @p items serially, in
+    /// canonical item order, so the tallies — and the estimator updates
+    /// emitted into @p log — are a function of (plan, rng, model) alone:
+    /// byte-identical across worker counts, claim orders and resume points.
+    /// Cadence: one update per stratum at each power-of-two done count, plus
+    /// a final point per stratum. @p log is null for range-restricted
+    /// (shard) runs: a slice is not a population.
+    CampaignResult tally(const fault::FaultUniverse& universe,
+                         const CampaignPlan& plan,
+                         const std::vector<DrawnFault>& items,
+                         telemetry::EventLog* log) const {
+        CampaignResult result = make_empty_result(
+            static_cast<std::size_t>(universe.layer_count()), plan);
+        result.interrupted = !complete;
+        std::vector<std::uint64_t> last_emit(
+            plan.subpops.size(), std::numeric_limits<std::uint64_t>::max());
+        for (std::uint64_t i = 0; i < done.size(); ++i) {
+            if (!done[i]) continue;
+            const DrawnFault& item = items[lo + i];
+            SubpopResult& sub = result.subpops[item.subpop];
+            accumulate_outcome(sub, item.fault.layer,
+                               static_cast<FaultOutcome>(outcomes[i]));
+            if (log && (sub.injected & (sub.injected - 1)) == 0) {
+                emit_stratum_update(*log, item.subpop, sub.plan, sub.injected,
+                                    sub.critical, plan.spec.confidence);
+                last_emit[item.subpop] = sub.injected;
+            }
+        }
+        if (log) {
+            // Final point per stratum — also the only point for strata an
+            // interruption left untouched (done = 0).
+            for (std::size_t s = 0; s < result.subpops.size(); ++s) {
+                const SubpopResult& sub = result.subpops[s];
+                if (last_emit[s] != sub.injected)
+                    emit_stratum_update(*log, s, sub.plan, sub.injected,
+                                        sub.critical, plan.spec.confidence);
+            }
+        }
+        return result;
+    }
+};
+
+CampaignEngine::Execution CampaignEngine::execute(
+    const Items& items, const DurabilityOptions& options,
+    const ProgressFn& progress) {
+    // Range restriction (shard runner hook): every count and heartbeat
+    // below is relative to [lo, hi). A whole run over nothing is vacuously
+    // complete; any other empty or overlong range is a caller error.
+    const std::uint64_t total =
+        items.drawn ? items.drawn->size() : items.universe.total();
+    Execution ex;
+    ex.lo = options.range_begin;
+    ex.hi = options.range_end == 0 ? total : options.range_end;
+    if ((ex.lo >= ex.hi && total != 0) || ex.hi > total)
+        throw std::invalid_argument(
+            std::string(items.drawn ? "run_durable: item" :
+                                      "run_exhaustive_durable: fault") +
+            " range [" + std::to_string(ex.lo) + ", " + std::to_string(ex.hi) +
+            ") is empty or exceeds the " + std::to_string(total) +
+            (items.drawn ? "-item sample" : "-fault universe"));
+    const std::uint64_t span = ex.hi - ex.lo;
+    ex.outcomes.assign(span, 0);
+    ex.done.assign(span, 0);
+
+    // Resume: replay every journaled record, then classify the remainder. A
+    // statistical journal lives in the item space (item_space_fingerprint),
+    // so it never resumes into a census and vice versa.
+    std::optional<CampaignJournal> journal;
+    if (!options.journal_path.empty()) {
+        telemetry::PhaseScope replay_scope(telemetry_, "resume_replay");
+        CampaignFingerprint fp = fingerprint(items.universe, options.model_id);
+        if (items.drawn) fp = item_space_fingerprint(std::move(fp), total);
+        auto recovery = CampaignJournal::recover(options.journal_path, fp);
+        if (!recovery.note.empty())
+            std::cerr << "statfi: " << recovery.note << "\n";
+        for (const JournalRecord& rec : recovery.records) {
+            // Out-of-range records are defensive no-ops: an index past the
+            // end would be corruption (CRC passed, so unlikely), one outside
+            // [lo, hi) a journal shared across shards.
+            if (rec.fault_index < ex.lo || rec.fault_index >= ex.hi) continue;
+            const std::uint64_t slot = rec.fault_index - ex.lo;
+            ex.outcomes[slot] = rec.outcome;
+            if (!ex.done[slot]) {
+                ex.done[slot] = 1;
+                ++ex.resumed;
+            }
+        }
+        journal.emplace(CampaignJournal::open(options.journal_path, fp,
+                                              recovery.valid_bytes));
+        if (telemetry_) {
+            telemetry_->metrics().inc(
+                0, telemetry_->ids().journal_resumed_total, ex.resumed);
+            if (ex.resumed && telemetry_->events())
+                telemetry_->events()->emit(
+                    telemetry::Event("resume").field("replayed", ex.resumed));
+        }
+    }
+
+    // Claimable groups: runs of pending items sharing (layer, ensemble
+    // family), at most ensemble_width of them, as slot boundaries — group g
+    // is [bounds[g], bounds[g + 1]). Resumed items inside a group are
+    // stepped over. Both item orders (the universe's layer-slowest
+    // enumeration, draw_plan's plan order) keep same-layer items adjacent,
+    // so groups fill naturally.
+    const std::size_t width = std::max<std::size_t>(1, config().ensemble_width);
+    std::vector<std::uint64_t> bounds;
+    {
+        fault::Fault first;
+        std::size_t members = 0;
+        for (std::uint64_t i = 0; i < span; ++i) {
+            if (ex.done[i]) continue;
+            const fault::Fault f = items.at(ex.lo + i);
+            if (members == 0 || members == width || f.layer != first.layer ||
+                !fault::same_ensemble_family(f.model, first.model)) {
+                bounds.push_back(i);
+                first = f;
+                members = 0;
+            }
+            ++members;
+        }
+        bounds.push_back(span);
+    }
+
+    // Heartbeat about 64 times per run, at most every 4096 items (the
+    // stride must stay a power of two).
+    std::uint64_t stride = 1;
+    while (stride < 4096 && stride * 64 < span) stride <<= 1;
+    telemetry::ProgressReporter reporter(progress, span, ex.resumed, stride);
+
+    // Sink-side telemetry (journal appends, flushes) happens under
+    // sink_mutex, so it is serialized into worker 0's slot regardless of
+    // which worker reached the sink — the mutex provides the single-writer
+    // guarantee the registry's relaxed load+store increments need.
+    const telemetry::MetricIds* ids = telemetry_ ? &telemetry_->ids() : nullptr;
+    std::mutex sink_mutex;  // guards journal appends + progress callback
+    std::uint64_t since_flush = 0;
+    const auto flush = [&] {
+        const auto t0 = std::chrono::steady_clock::now();
+        journal->flush();
+        if (telemetry_) {
+            telemetry_->metrics().observe(
+                0, ids->flush_seconds,
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count());
+            telemetry_->metrics().inc(0, ids->checkpoint_flushes_total);
+        }
+    };
+
+    // Workers claim the next group from one shared cursor, so the load
+    // balances itself. Every outcome lands in its own slot, which only the
+    // claiming worker writes; claim order therefore never reaches a result.
+    std::atomic<std::size_t> next_group{0};
+    std::atomic<std::uint64_t> classified{0};
+    std::atomic<bool> cancelled{false};
+    const auto work = [&](std::size_t w) {
+        std::vector<fault::Fault> batch;
+        std::vector<std::uint64_t> slots;  // slot per batch member
+        std::vector<FaultOutcome> outs;
+        for (;;) {
+            const std::size_t g =
+                next_group.fetch_add(1, std::memory_order_relaxed);
+            if (g + 1 >= bounds.size()) return;
+            if (cancelled.load(std::memory_order_relaxed) ||
+                (options.cancel && options.cancel->stop_requested())) {
+                cancelled.store(true, std::memory_order_relaxed);
+                return;
+            }
+            batch.clear();
+            slots.clear();
+            for (std::uint64_t i = bounds[g]; i < bounds[g + 1]; ++i) {
+                if (ex.done[i]) continue;
+                batch.push_back(items.at(ex.lo + i));
+                slots.push_back(i);
+            }
+            outs.assign(batch.size(), FaultOutcome::NonCritical);
+            workers_[w]->core.evaluate_group(batch, outs.data());
+            for (std::size_t b = 0; b < batch.size(); ++b) {
+                ex.outcomes[slots[b]] = static_cast<std::uint8_t>(outs[b]);
+                ex.done[slots[b]] = 1;
+            }
+            const std::uint64_t n =
+                classified.fetch_add(batch.size(), std::memory_order_relaxed) +
+                batch.size();
+            // A group advances the count by its size, so a heartbeat is due
+            // when any stride boundary inside the jump was crossed.
+            bool beat = false;
+            for (std::uint64_t m = n - batch.size() + 1; m <= n && !beat; ++m)
+                beat = reporter.due(ex.resumed + m);
+            if (!journal && !beat) continue;
+            std::lock_guard<std::mutex> lock(sink_mutex);
+            if (journal) {
+                for (std::size_t b = 0; b < batch.size(); ++b) {
+                    journal->append(ex.lo + slots[b],
+                                    static_cast<std::uint8_t>(outs[b]));
+                    if (++since_flush >= options.flush_interval) {
+                        flush();
+                        since_flush = 0;
+                    }
+                }
+                if (telemetry_)
+                    telemetry_->metrics().inc(0, ids->journal_records_total,
+                                              batch.size());
+            }
+            if (beat) reporter.report(ex.resumed + n);
+        }
+    };
+    if (workers_.size() == 1) {
+        work(0);
+    } else {
+        std::vector<std::thread> threads;
+        threads.reserve(workers_.size());
+        for (std::size_t w = 0; w < workers_.size(); ++w)
+            threads.emplace_back(work, w);
+        for (auto& t : threads) t.join();
+    }
+
+    ex.classified = classified.load();
+    ex.complete = !cancelled.load();
+    if (journal) flush();
+    if (ex.complete) reporter.finish(ex.classified);
+    return ex;
+}
+
+namespace {
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
+
+}  // namespace
+
+CampaignResult CampaignEngine::run(const fault::FaultUniverse& universe,
+                                   const CampaignPlan& plan, stats::Rng rng,
+                                   const CancellationToken* cancel) {
+    telemetry::PhaseScope scope(telemetry_, "classify");
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<DrawnFault> items =
+        draw_plan(universe, plan, std::move(rng));
+    DurabilityOptions options;
+    options.cancel = cancel;
+    const Execution ex = execute(Items{universe, &items}, options, {});
+    CampaignResult result = ex.tally(
+        universe, plan, items, telemetry_ ? telemetry_->events() : nullptr);
+    result.wall_seconds = seconds_since(start);
+    return result;
 }
 
 StatisticalRun CampaignEngine::run_durable(const fault::FaultUniverse& universe,
@@ -282,197 +453,14 @@ StatisticalRun CampaignEngine::run_durable(const fault::FaultUniverse& universe,
                                            const ProgressFn& progress) {
     telemetry::PhaseScope scope(telemetry_, "classify");
     const auto start = std::chrono::steady_clock::now();
-    StatisticalRun run;
-    const auto total = static_cast<std::uint64_t>(items.size());
-    const std::uint64_t lo_all = options.range_begin;
-    const std::uint64_t hi_all =
-        options.range_end == 0 ? total : options.range_end;
-    if (lo_all >= hi_all || hi_all > total)
-        throw std::invalid_argument(
-            "run_durable: item range [" + std::to_string(lo_all) + ", " +
-            std::to_string(hi_all) + ") is empty or exceeds the " +
-            std::to_string(total) + "-item sample");
-    const std::uint64_t span = hi_all - lo_all;
-    run.outcomes.assign(span, 0);
-    // done[i] == 1: the outcome of item lo_all + i is known (journal replay
-    // or fresh classification). Each slot is owned by exactly one worker.
-    std::vector<std::uint8_t> done(span, 0);
-
-    std::optional<CampaignJournal> journal;
-    if (!options.journal_path.empty()) {
-        telemetry::PhaseScope replay_scope(telemetry_, "resume_replay");
-        const CampaignFingerprint fp = item_space_fingerprint(
-            fingerprint(universe, options.model_id), total);
-        auto recovery = CampaignJournal::recover(options.journal_path, fp);
-        if (!recovery.note.empty())
-            std::cerr << "statfi: " << recovery.note << "\n";
-        for (const JournalRecord& rec : recovery.records) {
-            if (rec.fault_index < lo_all || rec.fault_index >= hi_all) continue;
-            const std::uint64_t local = rec.fault_index - lo_all;
-            run.outcomes[local] = rec.outcome;
-            if (!done[local]) {
-                done[local] = 1;
-                ++run.resumed;
-            }
-        }
-        journal.emplace(CampaignJournal::open(options.journal_path, fp,
-                                              recovery.valid_bytes));
-        if (telemetry_) {
-            telemetry_->metrics().inc(
-                0, telemetry_->ids().journal_resumed_total, run.resumed);
-            if (run.resumed && telemetry_->events())
-                telemetry_->events()->emit(
-                    telemetry::Event("resume").field("replayed", run.resumed));
-        }
-    }
-
-    const telemetry::MetricIds* ids = telemetry_ ? &telemetry_->ids() : nullptr;
-    // Statistical samples are often a few hundred items — far below the
-    // census default stride of 4096 — so scale the heartbeat to ~64 beats
-    // per run (stride must stay a power of two).
-    std::uint64_t stride = 1;
-    while (stride * 64 < span) stride <<= 1;
-    telemetry::ProgressReporter reporter(progress, span, run.resumed, stride);
-    std::atomic<std::uint64_t> classified{0};
-    std::atomic<bool> cancelled{false};
-    std::mutex sink_mutex;  // guards journal appends + progress callback
-    std::uint64_t since_flush = 0;
-
-    const std::size_t workers = workers_.size();
-    const std::uint64_t chunk = (span + workers - 1) / workers;
-    const std::size_t width = std::max<std::size_t>(1, config().ensemble_width);
-    const auto work = [&](std::size_t w) {
-        const std::uint64_t lo = w * chunk;
-        const std::uint64_t hi = std::min(lo + chunk, span);
-        std::vector<fault::Fault> batch;
-        std::vector<std::uint64_t> idx;  // local item index per batch member
-        std::vector<FaultOutcome> outs;
-        std::uint64_t i = lo;
-        while (i < hi) {
-            if (done[i]) {
-                ++i;
-                continue;
-            }
-            if (cancelled.load(std::memory_order_relaxed)) return;
-            if (options.cancel && options.cancel->stop_requested()) {
-                cancelled.store(true, std::memory_order_relaxed);
-                return;
-            }
-            // Gather consecutive pending items sharing (layer, model) —
-            // resumed (done) items inside the window are stepped over, they
-            // cost nothing either way.
-            batch.clear();
-            idx.clear();
-            const fault::Fault& first = items[lo_all + i].fault;
-            std::uint64_t j = i;
-            while (j < hi && batch.size() < width) {
-                if (done[j]) {
-                    ++j;
-                    continue;
-                }
-                const fault::Fault& f = items[lo_all + j].fault;
-                if (f.layer != first.layer ||
-                    !fault::same_ensemble_family(f.model, first.model))
-                    break;
-                batch.push_back(f);
-                idx.push_back(j);
-                ++j;
-            }
-            i = j;
-            outs.assign(batch.size(), FaultOutcome::NonCritical);
-            workers_[w]->core.evaluate_group(batch, outs.data());
-            for (std::size_t b = 0; b < batch.size(); ++b) {
-                run.outcomes[idx[b]] = static_cast<std::uint8_t>(outs[b]);
-                done[idx[b]] = 1;
-            }
-            const std::uint64_t n =
-                classified.fetch_add(batch.size(),
-                                     std::memory_order_relaxed) +
-                batch.size();
-            // A group advances the count by its size, so a heartbeat is due
-            // when any stride boundary inside the jump was crossed.
-            bool beat = false;
-            for (std::uint64_t m = n - batch.size() + 1;
-                 m <= n && !beat; ++m)
-                beat = reporter.due(run.resumed + m);
-            if (journal || beat) {
-                std::lock_guard<std::mutex> lock(sink_mutex);
-                if (journal) {
-                    for (std::size_t b = 0; b < batch.size(); ++b) {
-                        journal->append(lo_all + idx[b],
-                                        static_cast<std::uint8_t>(outs[b]));
-                        if (telemetry_)
-                            telemetry_->metrics().inc(
-                                0, ids->journal_records_total);
-                        if (++since_flush >= options.flush_interval) {
-                            journal->flush();
-                            if (telemetry_)
-                                telemetry_->metrics().inc(
-                                    0, ids->checkpoint_flushes_total);
-                            since_flush = 0;
-                        }
-                    }
-                }
-                if (beat) reporter.report(run.resumed + n);
-            }
-        }
-    };
-    if (workers == 1) {
-        work(0);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(work, w);
-        for (auto& t : threads) t.join();
-    }
-
-    run.classified = classified.load();
-    run.complete = !cancelled.load();
-    if (journal) {
-        journal->flush();
-        if (telemetry_)
-            telemetry_->metrics().inc(0, ids->checkpoint_flushes_total);
-    }
-    if (run.complete) reporter.finish(run.classified);
-
-    // Serial accumulation in canonical item order — identical to run()'s,
-    // so resumed/sharded tallies are byte-identical to an uninterrupted
-    // single-process run. Only full-range runs emit estimator updates: a
-    // shard's slice is not a population.
-    run.result = make_empty_result(
-        static_cast<std::size_t>(universe.layer_count()), plan);
-    run.result.interrupted = !run.complete;
-    const bool full_range = lo_all == 0 && hi_all == total;
-    telemetry::EventLog* log =
-        (telemetry_ && full_range) ? telemetry_->events() : nullptr;
-    std::vector<std::uint64_t> last_emit;
-    if (log)
-        last_emit.assign(plan.subpops.size(),
-                         std::numeric_limits<std::uint64_t>::max());
-    for (std::uint64_t i = lo_all; i < hi_all; ++i) {
-        if (!done[i - lo_all]) continue;
-        const std::size_t s = items[i].subpop;
-        SubpopResult& tally = run.result.subpops[s];
-        accumulate_outcome(tally, items[i].fault.layer,
-                           static_cast<FaultOutcome>(run.outcomes[i - lo_all]));
-        if (log && (tally.injected & (tally.injected - 1)) == 0) {
-            emit_stratum_update(*log, s, tally.plan, tally.injected,
-                                tally.critical, plan.spec.confidence);
-            last_emit[s] = tally.injected;
-        }
-    }
-    if (log) {
-        for (std::size_t s = 0; s < run.result.subpops.size(); ++s) {
-            const SubpopResult& sub = run.result.subpops[s];
-            if (last_emit[s] != sub.injected)
-                emit_stratum_update(*log, s, sub.plan, sub.injected,
-                                    sub.critical, plan.spec.confidence);
-        }
-    }
-    run.result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return run;
+    Execution ex = execute(Items{universe, &items}, options, progress);
+    const bool full_range = ex.lo == 0 && ex.hi == items.size();
+    CampaignResult result =
+        ex.tally(universe, plan, items,
+                 (telemetry_ && full_range) ? telemetry_->events() : nullptr);
+    result.wall_seconds = seconds_since(start);
+    return StatisticalRun{std::move(result), std::move(ex.outcomes),
+                          ex.complete, ex.classified, ex.resumed};
 }
 
 CampaignResult CampaignEngine::run_campaign(const fault::FaultUniverse& universe,
@@ -492,174 +480,15 @@ ExhaustiveRun CampaignEngine::run_exhaustive_durable(
     const fault::FaultUniverse& universe, const DurabilityOptions& options,
     const ProgressFn& progress) {
     telemetry::PhaseScope census_scope(telemetry_, "census");
-    ExhaustiveRun run;
-    run.outcomes = ExhaustiveOutcomes(universe.total());
-    const std::uint64_t total = universe.total();
-    // Range restriction (shard runner hook): the run covers [lo_all, hi_all)
-    // and every count/heartbeat below is relative to that span.
-    const std::uint64_t lo_all = options.range_begin;
-    const std::uint64_t hi_all =
-        options.range_end == 0 ? total : options.range_end;
-    if (lo_all >= hi_all || hi_all > total)
-        throw std::invalid_argument(
-            "run_exhaustive_durable: fault range [" + std::to_string(lo_all) +
-            ", " + std::to_string(hi_all) + ") is empty or exceeds the " +
-            std::to_string(total) + "-fault universe");
-    const std::uint64_t span = hi_all - lo_all;
-
-    // Resume: replay every journaled record, then classify the remainder.
-    std::vector<std::uint8_t> already_done;
-    std::optional<CampaignJournal> journal;
-    if (!options.journal_path.empty()) {
-        telemetry::PhaseScope replay_scope(telemetry_, "resume_replay");
-        const CampaignFingerprint fp = fingerprint(universe, options.model_id);
-        auto recovery = CampaignJournal::recover(options.journal_path, fp);
-        if (!recovery.note.empty())
-            std::cerr << "statfi: " << recovery.note << "\n";
-        already_done.assign(total, 0);
-        for (const JournalRecord& rec : recovery.records) {
-            // Out-of-range records are defensive no-ops: a universe-sized
-            // index would be corruption (CRC passed, so unlikely), one
-            // outside [lo_all, hi_all) a journal shared across shards.
-            if (rec.fault_index < lo_all || rec.fault_index >= hi_all) continue;
-            run.outcomes.set(rec.fault_index,
-                             static_cast<FaultOutcome>(rec.outcome));
-            if (!already_done[rec.fault_index]) {
-                already_done[rec.fault_index] = 1;
-                ++run.resumed;
-            }
-        }
-        journal.emplace(CampaignJournal::open(options.journal_path, fp,
-                                              recovery.valid_bytes));
-        if (telemetry_) {
-            telemetry_->metrics().inc(
-                0, telemetry_->ids().journal_resumed_total, run.resumed);
-            if (run.resumed && telemetry_->events())
-                telemetry_->events()->emit(
-                    telemetry::Event("resume").field("replayed", run.resumed));
-        }
-    }
-
-    // Sink-side telemetry (journal appends, flushes) happens under
-    // sink_mutex, so it is serialized into worker 0's slot regardless of
-    // which worker reached the sink — the mutex provides the single-writer
-    // guarantee the registry's relaxed load+store increments need.
-    const telemetry::MetricIds* ids =
-        telemetry_ ? &telemetry_->ids() : nullptr;
-    telemetry::ProgressReporter reporter(progress, span, run.resumed);
-    std::atomic<std::uint64_t> classified{0};
-    std::atomic<bool> cancelled{false};
-    std::mutex sink_mutex;  // guards journal appends + progress callback
-    std::uint64_t since_flush = 0;
-
-    // Per-worker contiguous global-index ranges; ascending index order
-    // within a chunk matches the universe's nested (layer, bit, local)
-    // enumeration, and each table slot is written by exactly one worker,
-    // so only the journal/progress sink needs the lock.
-    const std::size_t workers = workers_.size();
-    const std::uint64_t chunk = (span + workers - 1) / workers;
-    const std::size_t width = std::max<std::size_t>(1, config().ensemble_width);
-    const auto work = [&](std::size_t w) {
-        const std::uint64_t lo = lo_all + w * chunk;
-        const std::uint64_t hi = std::min(lo + chunk, hi_all);
-        std::vector<fault::Fault> batch;
-        std::vector<std::uint64_t> idx;  // global fault index per member
-        std::vector<FaultOutcome> outs;
-        std::uint64_t i = lo;
-        while (i < hi) {
-            if (!already_done.empty() && already_done[i]) {
-                ++i;
-                continue;
-            }
-            if (cancelled.load(std::memory_order_relaxed)) return;
-            if (options.cancel && options.cancel->stop_requested()) {
-                cancelled.store(true, std::memory_order_relaxed);
-                return;
-            }
-            // Gather consecutive pending indices sharing (layer, model).
-            // The universe enumerates layer-slowest, so whole-width groups
-            // are the common case; layer boundaries just end a group early.
-            batch.clear();
-            idx.clear();
-            std::uint64_t j = i;
-            while (j < hi && batch.size() < width) {
-                if (!already_done.empty() && already_done[j]) {
-                    ++j;
-                    continue;
-                }
-                const fault::Fault f = universe.decode(j);
-                if (!batch.empty() &&
-                    (f.layer != batch.front().layer ||
-                     !fault::same_ensemble_family(f.model, batch.front().model)))
-                    break;
-                batch.push_back(f);
-                idx.push_back(j);
-                ++j;
-            }
-            i = j;
-            outs.assign(batch.size(), FaultOutcome::NonCritical);
-            workers_[w]->core.evaluate_group(batch, outs.data());
-            for (std::size_t b = 0; b < batch.size(); ++b)
-                run.outcomes.set(idx[b], outs[b]);
-            const std::uint64_t n =
-                classified.fetch_add(batch.size(),
-                                     std::memory_order_relaxed) +
-                batch.size();
-            bool beat = false;
-            for (std::uint64_t m = n - batch.size() + 1;
-                 m <= n && !beat; ++m)
-                beat = reporter.due(run.resumed + m);
-            if (journal || beat) {
-                std::lock_guard<std::mutex> lock(sink_mutex);
-                if (journal) {
-                    for (std::size_t b = 0; b < batch.size(); ++b) {
-                        journal->append(idx[b],
-                                        static_cast<std::uint8_t>(outs[b]));
-                        if (telemetry_)
-                            telemetry_->metrics().inc(
-                                0, ids->journal_records_total);
-                        if (++since_flush >= options.flush_interval) {
-                            if (telemetry_) {
-                                const auto t0 =
-                                    std::chrono::steady_clock::now();
-                                journal->flush();
-                                telemetry_->metrics().observe(
-                                    0, ids->flush_seconds,
-                                    std::chrono::duration<double>(
-                                        std::chrono::steady_clock::now() - t0)
-                                        .count());
-                                telemetry_->metrics().inc(
-                                    0, ids->checkpoint_flushes_total);
-                            } else {
-                                journal->flush();
-                            }
-                            since_flush = 0;
-                        }
-                    }
-                }
-                if (beat) reporter.report(run.resumed + n);
-            }
-        }
-    };
-    if (workers == 1) {
-        work(0);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(work, w);
-        for (auto& t : threads) t.join();
-    }
-
-    run.classified = classified.load();
-    run.complete = !cancelled.load();
-    if (journal) {
-        journal->flush();
-        if (telemetry_)
-            telemetry_->metrics().inc(0, ids->checkpoint_flushes_total);
-    }
-    if (run.complete) reporter.finish(run.classified);
-    if (telemetry_ && telemetry_->events() && run.complete && lo_all == 0 &&
-        hi_all == total) {
+    const Execution ex = execute(Items{universe}, options, progress);
+    ExhaustiveRun run{ExhaustiveOutcomes(universe.total()), ex.complete,
+                      ex.classified, ex.resumed};
+    for (std::uint64_t i = 0; i < ex.done.size(); ++i)
+        if (ex.done[i])
+            run.outcomes.set(ex.lo + i,
+                             static_cast<FaultOutcome>(ex.outcomes[i]));
+    if (telemetry_ && telemetry_->events() && run.complete && ex.lo == 0 &&
+        ex.hi == universe.total()) {
         // Exact per-(layer, bit) strata of a full census. Range-restricted
         // (shard) runs skip this — their slice is not a population, the
         // merger emits strata once all shards are pooled.

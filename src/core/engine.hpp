@@ -2,17 +2,23 @@
 // CampaignEngine: the single execution facade for fault-injection
 // campaigns. CampaignSpec -> plan -> execute -> CampaignResult, with the
 // worker count a runtime knob instead of a class choice — serial execution
-// is simply the 1-worker case, so the statistical `run`, the durable
-// census, cancellation, and progress/ETA logic each exist exactly once.
+// is simply the 1-worker case. One private executor runs every campaign:
+// run, run_durable and the census are thin adapters over it, so fan-out,
+// cancellation, journaling and progress/ETA each exist exactly once.
 //
-// Determinism contract: results are bit-identical across worker counts and
-// across interrupt/resume points.
+// Determinism contract: results are bit-identical across worker counts,
+// ensemble widths and interrupt/resume points.
 //  * Statistical runs draw every sample up front with the same per-subpop
-//    RNG stream layout regardless of workers; classification of a fault is
-//    a deterministic function of (network, eval set, fault), so the
-//    work partitioning cannot change the tallies.
-//  * The census walks global fault indices in ascending order (contiguous
-//    per-worker chunks); each table slot is written by exactly one worker.
+//    RNG stream layout regardless of workers; the census decodes global
+//    fault indices of the universe. Classification of a fault is a
+//    deterministic function of (network, eval set, fault), in a group or
+//    alone.
+//  * Workers claim (layer, ensemble-family) groups from one atomic cursor
+//    in whatever order they get to it; each outcome lands in its own item
+//    slot, written by exactly one worker, and journal records carry item
+//    indices — so claim order cannot reach a result.
+//  * Tallies and estimator events are accumulated serially in canonical
+//    item order after the workers join.
 //  * Worker count never enters the campaign fingerprint.
 // tests/core/engine_test.cpp and durability_test.cpp assert all of this.
 
@@ -110,8 +116,8 @@ public:
                                 const CampaignSpec& spec, stats::Rng rng,
                                 const CancellationToken* cancel = nullptr);
 
-    /// Classify every fault in the universe. @p progress (optional) is
-    /// invoked every few thousand faults with rate/ETA heartbeat.
+    /// Classify every fault in the universe. @p progress (optional) gets a
+    /// rate/ETA heartbeat about 64 times per run, at most every 4096 faults.
     ExhaustiveOutcomes run_exhaustive(const fault::FaultUniverse& universe,
                                       const ProgressFn& progress = {});
 
@@ -145,6 +151,15 @@ public:
 
 private:
     struct Worker;
+    struct Items;      ///< what one execution classifies
+    struct Execution;  ///< what it produced
+
+    /// The one fan-out loop behind run, run_durable and the census: journal
+    /// replay, claim-based classification of the pending items of the
+    /// options' range, journal appends/flushes, heartbeats, cancellation.
+    Execution execute(const Items& items, const DurabilityOptions& options,
+                      const ProgressFn& progress);
+
     std::vector<std::unique_ptr<Worker>> workers_;
     telemetry::Session* telemetry_ = nullptr;
 };

@@ -4,9 +4,10 @@ namespace statfi::telemetry {
 
 namespace {
 
-/// Per-fault classification latency buckets: masked short-circuits land in
-/// the sub-microsecond buckets, live single-image micronet inferences
-/// around 10-100us, multi-image deep-topology faults up to seconds.
+/// Per-group classification latency buckets (a lone fault is a group of
+/// one): masked short-circuits land in the sub-microsecond buckets, live
+/// single-image micronet inferences around 10-100us, multi-image
+/// deep-topology faults up to seconds.
 std::vector<double> evaluate_bounds() {
     return {1e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 1e-1, 1.0};
 }
@@ -57,7 +58,9 @@ Session::Session(SessionOptions options) : options_(options) {
         "statfi_golden_accuracy",
         "Golden top-1 accuracy on the evaluation set");
     ids_.evaluate_seconds = metrics_.add_histogram(
-        "statfi_evaluate_seconds", "Per-fault classification latency",
+        "statfi_evaluate_seconds",
+        "Classification latency per evaluation group (one sample per "
+        "group; a lone fault is a group of one)",
         evaluate_bounds());
     ids_.flush_seconds = metrics_.add_histogram(
         "statfi_checkpoint_flush_seconds", "Checkpoint flush latency",

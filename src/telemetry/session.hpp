@@ -59,7 +59,7 @@ struct MetricIds {
     MetricId worker_count;
     MetricId golden_accuracy;
     // histograms
-    MetricId evaluate_seconds;  ///< per-fault classification latency
+    MetricId evaluate_seconds;  ///< per-group classification latency
     MetricId flush_seconds;     ///< checkpoint flush latency
 };
 

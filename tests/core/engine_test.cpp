@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <sstream>
+
 #include "core/planner.hpp"
 #include "models/micronet.hpp"
 #include "nn/init.hpp"
 #include "nn/trainer.hpp"
+#include "telemetry/session.hpp"
 
 namespace statfi::core {
 namespace {
@@ -101,15 +105,86 @@ TEST(Engine, NetworkWisePerLayerTalliesMatchSerial) {
 }
 
 TEST(Engine, ExhaustiveMatchesSerial) {
+    // Every census slot, for every worker count: workers claim groups in a
+    // nondeterministic order, which must reach neither an outcome nor the
+    // amount of work done.
     auto& fx = fixture();
     const auto& expected = ground_truth();  // 1-worker census
-    CampaignEngine parallel(fx.net, fx.eval, {}, 2);
-    const auto got = parallel.run_exhaustive(fx.universe);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::uint64_t i = 0; i < got.size(); i += 13)
-        ASSERT_EQ(got.at(i), expected.at(i)) << "fault " << i;
-    EXPECT_DOUBLE_EQ(got.network_critical_rate(),
-                     expected.network_critical_rate());
+    std::vector<std::uint64_t> inferences;
+    for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+        CampaignEngine engine(fx.net, fx.eval, {}, threads);
+        const auto got = engine.run_exhaustive(fx.universe);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::uint64_t i = 0; i < got.size(); ++i)
+            ASSERT_EQ(got.at(i), expected.at(i))
+                << threads << " threads, fault " << i;
+        EXPECT_DOUBLE_EQ(got.network_critical_rate(),
+                         expected.network_critical_rate());
+        inferences.push_back(engine.inference_count());
+    }
+    for (std::size_t t = 1; t < inferences.size(); ++t)
+        EXPECT_EQ(inferences[t], inferences[0]) << t + 1 << " threads";
+}
+
+/// The stratum_update lines of an event log, wall-clock stamps blanked.
+std::vector<std::string> stratum_updates(const std::string& log) {
+    static const std::regex ts("\"ts\":[-0-9.eE+]+");
+    std::vector<std::string> lines;
+    std::istringstream in(log);
+    for (std::string line; std::getline(in, line);)
+        if (line.find("\"type\":\"stratum_update\"") != std::string::npos)
+            lines.push_back(std::regex_replace(line, ts, "\"ts\":_"));
+    return lines;
+}
+
+TEST(Engine, RunMatchesRunDurable) {
+    // run() is draw_plan + the executor without a journal; run_durable over
+    // the same drawn items must tally and report identically.
+    auto& fx = fixture();
+    stats::SampleSpec spec;
+    spec.error_margin = 0.05;
+    const auto logged = [&](auto&& execute) {
+        std::ostringstream buffer;
+        telemetry::Session session;
+        session.attach_event_log(buffer);
+        session.events()->emit(telemetry::Event("campaign_header")
+                                   .field("schema",
+                                          telemetry::EventLog::kSchemaName));
+        CampaignEngine engine(fx.net, fx.eval, {}, 2, &session);
+        CampaignResult result = execute(engine);
+        return std::pair{std::move(result), stratum_updates(buffer.str())};
+    };
+    for (const auto& plan : {plan_layer_wise(fx.universe, spec),
+                             plan_network_wise(fx.universe, spec)}) {
+        SCOPED_TRACE(to_string(plan.approach));
+        const auto [direct, direct_log] = logged([&](CampaignEngine& engine) {
+            return engine.run(fx.universe, plan, stats::Rng(31));
+        });
+        const auto [durable, durable_log] =
+            logged([&](CampaignEngine& engine) {
+                const auto items =
+                    draw_plan(fx.universe, plan, stats::Rng(31));
+                return engine.run_durable(fx.universe, plan, items, {})
+                    .result;
+            });
+
+        EXPECT_EQ(direct.approach, durable.approach);
+        EXPECT_EQ(direct.spec.error_margin, durable.spec.error_margin);
+        EXPECT_EQ(direct.spec.confidence, durable.spec.confidence);
+        EXPECT_EQ(direct.interrupted, durable.interrupted);
+        ASSERT_EQ(direct.subpops.size(), durable.subpops.size());
+        for (std::size_t s = 0; s < direct.subpops.size(); ++s) {
+            const SubpopResult& a = direct.subpops[s];
+            const SubpopResult& b = durable.subpops[s];
+            EXPECT_EQ(a.injected, b.injected) << "subpop " << s;
+            EXPECT_EQ(a.critical, b.critical) << "subpop " << s;
+            EXPECT_EQ(a.masked, b.masked) << "subpop " << s;
+            EXPECT_EQ(a.layer_injected, b.layer_injected) << "subpop " << s;
+            EXPECT_EQ(a.layer_critical, b.layer_critical) << "subpop " << s;
+        }
+        ASSERT_FALSE(direct_log.empty());
+        EXPECT_EQ(direct_log, durable_log);
+    }
 }
 
 TEST(Engine, RunCampaignCoversEveryStatisticalApproach) {

@@ -9,9 +9,11 @@
 // expensive reference census is computed once per run, not once per TEST.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
 
 #include "core/engine.hpp"
@@ -104,7 +106,10 @@ void expect_same_result(const core::CampaignResult& a,
 class ShardTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = std::filesystem::temp_directory_path() / "statfi_shard_test";
+        // Per-process directory: ctest also runs single tests of this
+        // suite as their own entries, concurrently with the whole suite.
+        dir_ = std::filesystem::temp_directory_path() /
+               ("statfi_shard_test_" + std::to_string(::getpid()));
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
         manifest_path_ = (dir_ / "campaign.sfim").string();

@@ -141,5 +141,40 @@ TEST(TelemetryIdentity, StatisticalTalliesIdenticalTelemetryOnVsOff) {
               expected.total_injected());
 }
 
+TEST(TelemetryIdentity, StatisticalJournalFlushesAreTimed) {
+    // A journaled statistical run books its checkpoint flushes exactly as
+    // the census does: every flush is counted and its latency observed.
+    auto& fx = fixture();
+    stats::SampleSpec spec;
+    spec.error_margin = 0.05;
+    const auto plan = plan_network_wise(fx.universe, spec);
+    const auto items = draw_plan(fx.universe, plan, stats::Rng(11));
+
+    const std::string journal =
+        (std::filesystem::temp_directory_path() / "statfi_identity_flush.sfij")
+            .string();
+    std::filesystem::remove(journal);
+    DurabilityOptions durability;
+    durability.journal_path = journal;
+    durability.model_id = "micronet";
+    durability.flush_interval = 16;
+
+    telemetry::Session session;
+    CampaignEngine engine(fx.net, fx.eval, config(), 2, &session);
+    const StatisticalRun run =
+        engine.run_durable(fx.universe, plan, items, durability);
+    std::filesystem::remove(journal);
+    ASSERT_TRUE(run.complete);
+    ASSERT_EQ(run.classified, items.size());
+
+    const auto snap = session.metrics().snapshot();
+    EXPECT_EQ(snap.find("statfi_journal_records_total")->counter,
+              items.size());
+    const std::uint64_t flushes =
+        snap.find("statfi_checkpoint_flushes_total")->counter;
+    EXPECT_GE(flushes, items.size() / durability.flush_interval);
+    EXPECT_EQ(snap.find("statfi_checkpoint_flush_seconds")->count, flushes);
+}
+
 }  // namespace
 }  // namespace statfi::core
