@@ -166,7 +166,7 @@ void BM_MaskedShortCircuit(benchmark::State& state) {
     f.weight_index = 5;
     f.bit = 30;
     f.model = fault::FaultModel::StuckAt0;
-    for (auto _ : state) benchmark::DoNotOptimize(engine.evaluate(f));
+    for (auto _ : state) benchmark::DoNotOptimize(engine.core().evaluate(f));
 }
 BENCHMARK(BM_MaskedShortCircuit);
 
@@ -180,7 +180,7 @@ void BM_FaultEvaluation(benchmark::State& state) {
     f.weight_index = 5;
     f.bit = 12;
     f.model = fault::FaultModel::BitFlip;
-    for (auto _ : state) benchmark::DoNotOptimize(engine.evaluate(f));
+    for (auto _ : state) benchmark::DoNotOptimize(engine.core().evaluate(f));
 }
 BENCHMARK(BM_FaultEvaluation);
 
@@ -252,7 +252,7 @@ int run_engine_report(const std::string& json_path, std::uint64_t max_faults,
         // Capped smoke run: same ascending-index walk as the census chunk,
         // on worker 0 only (keeps the cap deterministic across thread counts).
         for (std::uint64_t i = 0; i < faults; ++i)
-            critical += engine.evaluate(universe.decode(i)) ==
+            critical += engine.core().evaluate(universe.decode(i)) ==
                         core::FaultOutcome::Critical;
     }
     const double wall =

@@ -11,7 +11,7 @@
 // otherwise unrealizable (the variances are not known up front), at the
 // cost of one extra planning round trip.
 
-#include "core/classification_core.hpp"
+#include "core/engine.hpp"
 
 namespace statfi::core {
 
@@ -34,8 +34,13 @@ struct AdaptiveResult {
 
 /// Runs the two-phase campaign over every (bit, layer) subpopulation of
 /// @p universe. Phase-2 samples are drawn independently and merged with the
-/// pilot (duplicates evaluated once); tallies count distinct faults.
-AdaptiveResult run_adaptive(ClassificationCore& core,
+/// pilot (duplicates evaluated once); tallies count distinct faults. Each
+/// phase's draws are classified by one run_durable call on @p engine, so
+/// the result is the same for every worker count and ensemble width. The
+/// pilot is draw_plan over one subpopulation per (layer, bit), subpop s
+/// drawing from rng.fork(s); phase 2 draws subpop s from
+/// rng.fork(s + 0x100000).
+AdaptiveResult run_adaptive(CampaignEngine& engine,
                             const fault::FaultUniverse& universe,
                             const AdaptiveConfig& config, stats::Rng rng);
 

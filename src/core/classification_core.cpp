@@ -84,13 +84,8 @@ ClassificationCore::ClassificationCore(nn::Network& net,
       mitigation_(deploy_mitigation(config_.mitigation, net)),
       injector_(net, config_.dtype, config_.layer_quant),
       golden_(build_golden_cache(net, eval)) {
-    // Warm the scratch arena (and each conv's im2col workspace) at
-    // single-image shapes so the hot loop never allocates. Not an injected
-    // inference, so it stays out of inference_count().
-    net_->forward_from(0, golden_.images[0], golden_.acts[0], scratch_);
-
     // Precompute, for every potential dirty node d, which golden entries
-    // the ensemble suffix forward_from(d + 1) dereferences: producers
+    // the ensemble suffix pass from d + 1 dereferences: producers
     // p < d read by some node > d (the frontier d itself is built fresh
     // each step), plus whether any suffix node reads the network input.
     const int n = net_->node_count();
@@ -116,18 +111,9 @@ ClassificationCore::ClassificationCore(nn::Network& net,
 }
 
 namespace {
-/// Top-1 prediction; -1 when the winning logit is not finite (numerically
-/// exploded network counts as a misprediction).
-int predict(const Tensor& logits) {
-    const int best = nn::argmax_row(logits, 0);
-    const float v = logits[static_cast<std::size_t>(best)];
-    if (!std::isfinite(v)) return -1;
-    return best;
-}
-
-/// predict() for one lane of a lane-stacked (F, classes) logits tensor —
-/// same argmax and finiteness rule, so per-lane decisions match the
-/// per-fault path exactly.
+/// Top-1 prediction of one lane of a lane-stacked (F, classes) logits
+/// tensor; -1 when the winning logit is not finite (a numerically exploded
+/// network counts as a misprediction).
 int predict_row(const Tensor& logits, std::int64_t row) {
     const int best = nn::argmax_row(logits, row);
     const float v = logits[static_cast<std::size_t>(
@@ -152,159 +138,13 @@ void stack_lanes(const Tensor& src, std::size_t lanes, Tensor& dst) {
 }
 }  // namespace
 
-FaultOutcome ClassificationCore::classify_active_fault(int first_dirty_node) {
-    const auto count = golden_.images.size();
-    switch (config_.policy) {
-        case ClassificationPolicy::AnyMisprediction: {
-            for (std::size_t k = 0; k < count; ++k) {
-                const std::size_t i = golden_.correct_order[k];
-                if (golden_.preds[i] != golden_.labels[i])
-                    break;  // incorrect tail
-                const Tensor& logits =
-                    net_->forward_from(first_dirty_node, golden_.images[i],
-                                       golden_.acts[i], scratch_);
-                ++inferences_;
-                if (predict(logits) != golden_.labels[i])
-                    return FaultOutcome::Critical;
-            }
-            return FaultOutcome::NonCritical;
-        }
-        case ClassificationPolicy::GoldenMismatch: {
-            for (std::size_t i = 0; i < count; ++i) {
-                const Tensor& logits =
-                    net_->forward_from(first_dirty_node, golden_.images[i],
-                                       golden_.acts[i], scratch_);
-                ++inferences_;
-                if (predict(logits) != golden_.preds[i])
-                    return FaultOutcome::Critical;
-            }
-            return FaultOutcome::NonCritical;
-        }
-        case ClassificationPolicy::AccuracyDrop: {
-            const double threshold =
-                config_.accuracy_drop_threshold * static_cast<double>(count);
-            std::uint64_t faulty_correct = 0;
-            for (std::size_t i = 0; i < count; ++i) {
-                const Tensor& logits =
-                    net_->forward_from(first_dirty_node, golden_.images[i],
-                                       golden_.acts[i], scratch_);
-                ++inferences_;
-                if (predict(logits) == golden_.labels[i]) ++faulty_correct;
-                // Even if every remaining image is correct, is the drop
-                // already unavoidable?
-                const std::uint64_t remaining = count - 1 - i;
-                const double best_case =
-                    static_cast<double>(golden_.correct) -
-                    static_cast<double>(faulty_correct + remaining);
-                if (best_case > threshold) return FaultOutcome::Critical;
-            }
-            const double drop = static_cast<double>(golden_.correct) -
-                                static_cast<double>(faulty_correct);
-            return drop > threshold ? FaultOutcome::Critical
-                                    : FaultOutcome::NonCritical;
-        }
-    }
-    return FaultOutcome::NonCritical;
-}
-
-FaultOutcome ClassificationCore::evaluate_activation(const fault::Fault& fault) {
-    // A transient fault lives in ONE inference: pick the target image,
-    // corrupt one element of one node's golden activation, re-run only the
-    // downstream sub-graph, restore. fault.layer is the graph-node id and
-    // fault.weight_index the element within its batch-1 output.
-    const std::size_t images = golden_.images.size();
-    const auto i = static_cast<std::size_t>(
-        (fault.weight_index + static_cast<std::uint64_t>(fault.bit)) % images);
-    auto& acts = golden_.acts[i];
-    Tensor& act = acts.at(static_cast<std::size_t>(fault.layer));
-    if (fault.weight_index >= static_cast<std::uint64_t>(act.numel()))
-        throw std::out_of_range(
-            "ClassificationCore: activation element index out of range");
-    const auto element = static_cast<std::size_t>(fault.weight_index);
-    const float saved = act[element];
-    act[element] = fault::apply_bit_flip(saved, fault.bit, config_.dtype);
-    // Only nodes AFTER the corrupted one re-run; when the corrupted node is
-    // the last one, forward_from returns the (corrupted) golden output.
-    const Tensor& logits =
-        net_->forward_from(fault.layer + 1, golden_.images[i], acts, scratch_);
-    ++inferences_;
-    const int prediction = predict(logits);
-    act[element] = saved;
-
-    switch (config_.policy) {
-        case ClassificationPolicy::AnyMisprediction:
-            return (golden_.preds[i] == golden_.labels[i] &&
-                    prediction != golden_.labels[i])
-                       ? FaultOutcome::Critical
-                       : FaultOutcome::NonCritical;
-        case ClassificationPolicy::GoldenMismatch:
-        case ClassificationPolicy::AccuracyDrop:  // single-inference fault:
-                                                  // drop == one flip
-            return prediction != golden_.preds[i] ? FaultOutcome::Critical
-                                                  : FaultOutcome::NonCritical;
-    }
-    return FaultOutcome::NonCritical;
-}
+// ------------------------------------------- fault-batched group evaluation
 
 FaultOutcome ClassificationCore::evaluate(const fault::Fault& fault) {
-    if (!telemetry_) {
-        if (fault.model == fault::FaultModel::ActivationFlip)
-            return evaluate_activation(fault);
-        if (mitigation_.tmr_protects(fault.layer) || injector_.masked(fault))
-            return FaultOutcome::Masked;
-        fault::WeightInjector::Scoped guard(injector_, fault);
-        return classify_active_fault(injector_.node_of_layer(fault.layer));
-    }
-    return evaluate_instrumented(fault);
+    FaultOutcome out = FaultOutcome::NonCritical;
+    evaluate_group({&fault, 1}, &out);
+    return out;
 }
-
-FaultOutcome ClassificationCore::evaluate_instrumented(
-    const fault::Fault& fault) {
-    using clock = std::chrono::steady_clock;
-    const auto ns_between = [](clock::time_point a, clock::time_point b) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
-                .count());
-    };
-    auto& reg = telemetry_->metrics();
-    const telemetry::MetricIds& ids = telemetry_->ids();
-    const std::uint64_t inferences_before = inferences_;
-    const auto t0 = clock::now();
-
-    FaultOutcome outcome;
-    if (fault.model == fault::FaultModel::ActivationFlip) {
-        outcome = evaluate_activation(fault);
-        // One corrupted inference: the whole evaluation is forward time.
-        reg.inc(worker_, ids.forward_ns_total, ns_between(t0, clock::now()));
-    } else if (mitigation_.tmr_protects(fault.layer) ||
-               injector_.masked(fault)) {
-        outcome = FaultOutcome::Masked;
-        reg.inc(worker_, ids.masked_total);
-    } else {
-        clock::time_point applied, classified;
-        {
-            fault::WeightInjector::Scoped guard(injector_, fault);
-            applied = clock::now();
-            outcome =
-                classify_active_fault(injector_.node_of_layer(fault.layer));
-            classified = clock::now();
-        }
-        const auto restored = clock::now();
-        reg.inc(worker_, ids.inject_ns_total, ns_between(t0, applied));
-        reg.inc(worker_, ids.forward_ns_total, ns_between(applied, classified));
-        reg.inc(worker_, ids.restore_ns_total,
-                ns_between(classified, restored));
-    }
-    reg.inc(worker_, ids.faults_total);
-    if (outcome == FaultOutcome::Critical)
-        reg.inc(worker_, ids.critical_total);
-    reg.inc(worker_, ids.inferences_total, inferences_ - inferences_before);
-    reg.observe(worker_, ids.evaluate_seconds,
-                std::chrono::duration<double>(clock::now() - t0).count());
-    return outcome;
-}
-
-// ------------------------------------------- fault-batched group evaluation
 
 void ClassificationCore::evaluate_group(std::span<const fault::Fault> faults,
                                         FaultOutcome* out) {
@@ -316,23 +156,18 @@ void ClassificationCore::evaluate_group(std::span<const fault::Fault> faults,
                 "ClassificationCore::evaluate_group: faults must share one "
                 "layer and one ensemble family (weight models may mix; "
                 "activation faults group only with activation faults)");
-    if (faults.size() == 1) {
-        // Degenerate group: per-fault path with full instrumentation.
-        out[0] = evaluate(faults.front());
-        return;
-    }
-    if (!telemetry_) {
-        evaluate_group_plain(faults, out);
-        return;
-    }
-
     using clock = std::chrono::steady_clock;
+    const std::uint64_t inferences_before = inferences_;
+    const auto t0 = telemetry_ ? clock::now() : clock::time_point{};
+    if (faults.front().model == fault::FaultModel::ActivationFlip)
+        evaluate_activation_group(faults, out);
+    else
+        evaluate_weight_group(faults, out);
+    if (!telemetry_) return;
+
+    const auto t1 = clock::now();
     auto& reg = telemetry_->metrics();
     const telemetry::MetricIds& ids = telemetry_->ids();
-    const std::uint64_t inferences_before = inferences_;
-    const auto t0 = clock::now();
-    evaluate_group_plain(faults, out);
-    const auto t1 = clock::now();
     // Group-granularity accounting: the blocked pass interleaves injection,
     // forward, and restore per lane, so the whole pass is booked as forward
     // time and evaluate_seconds observes one sample per group.
@@ -351,14 +186,6 @@ void ClassificationCore::evaluate_group(std::span<const fault::Fault> faults,
     reg.inc(worker_, ids.inferences_total, inferences_ - inferences_before);
     reg.observe(worker_, ids.evaluate_seconds,
                 std::chrono::duration<double>(t1 - t0).count());
-}
-
-void ClassificationCore::evaluate_group_plain(
-    std::span<const fault::Fault> faults, FaultOutcome* out) {
-    if (faults.front().model == fault::FaultModel::ActivationFlip)
-        evaluate_activation_group(faults, out);
-    else
-        evaluate_weight_group(faults, out);
 }
 
 const Tensor& ClassificationCore::ensemble_weight_step(
@@ -396,10 +223,10 @@ const Tensor& ClassificationCore::ensemble_weight_step(
         std::memcpy(frontier.data() + l * lane_sz, lane_buf_.data(),
                     lane_sz * sizeof(float));
     }
-    // The per-fault path recomputes node d in full and runs the clip hook on
-    // the result; here the hook's clamp is re-applied to the whole stacked
-    // tensor — idempotent on the already-clamped golden rows, identical on
-    // the recomputed one (NaN passes std::clamp both times).
+    // A full recompute of node d would run the clip hook on its output;
+    // here the hook's clamp is re-applied to the whole stacked tensor —
+    // idempotent on the already-clamped golden rows, identical on the
+    // recomputed one (NaN passes std::clamp both times).
     if (mitigation_.any_clip) {
         const auto& range = mitigation_.node_clips[d];
         if (range)
@@ -420,8 +247,7 @@ const Tensor& ClassificationCore::ensemble_weight_step(
 
 void ClassificationCore::evaluate_weight_group(
     std::span<const fault::Fault> faults, FaultOutcome* out) {
-    // Masked / TMR-outvoted lanes are decided without inference, exactly as
-    // in evaluate().
+    // Masked / TMR-outvoted lanes are decided without inference.
     active_.clear();
     for (std::size_t f = 0; f < faults.size(); ++f) {
         if (mitigation_.tmr_protects(faults[f].layer) ||
@@ -431,14 +257,6 @@ void ClassificationCore::evaluate_weight_group(
             active_.push_back(f);
     }
     if (active_.empty()) return;
-    if (active_.size() == 1) {
-        // One live lane left: the per-fault path IS the blocked pass.
-        const fault::Fault& fault = faults[active_.front()];
-        fault::WeightInjector::Scoped guard(injector_, fault);
-        out[active_.front()] =
-            classify_active_fault(injector_.node_of_layer(fault.layer));
-        return;
-    }
 
     const int node = injector_.node_of_layer(faults.front().layer);
     const std::size_t count = golden_.images.size();
@@ -449,10 +267,9 @@ void ClassificationCore::evaluate_weight_group(
         row_cache_node_ = node;
     }
 
-    // Per-image loops mirror classify_active_fault: same image order, same
-    // decision expressions, and inferences_ advances by the live lane count
-    // per step — a lane decided at image k consumed images 0..k, exactly
-    // like the per-fault early exit.
+    // Per-image loops with early exit: inferences_ advances by the live lane
+    // count per step, so a lane decided at image k is charged images 0..k —
+    // what classifying its fault alone would cost.
     switch (config_.policy) {
         case ClassificationPolicy::AnyMisprediction: {
             for (std::size_t k = 0; k < count && !active_.empty(); ++k) {
@@ -534,9 +351,12 @@ void ClassificationCore::evaluate_activation_group(
     const std::size_t images = golden_.images.size();
     const int node = faults.front().layer;
     const auto d = static_cast<std::size_t>(node);
+    if (node < 0 || node >= net_->node_count())
+        throw std::out_of_range(
+            "ClassificationCore: activation fault names no graph node");
 
-    // Each lane's target image is a pure function of its fault (see
-    // evaluate_activation), so lanes in one group generally corrupt
+    // Each lane's target image is a pure function of its fault —
+    // (element + bit) mod |eval| — so lanes in one group generally corrupt
     // DIFFERENT images: suffix dependencies and the input are gathered per
     // lane rather than replicated.
     lane_images_.resize(F);
@@ -555,8 +375,8 @@ void ClassificationCore::evaluate_activation_group(
             throw std::out_of_range(
                 "ClassificationCore: activation element index out of range");
         // Lane = post-hook golden activation with one element flipped. No
-        // re-clamp: the per-fault path corrupts the cached (already
-        // clipped) activation and re-runs only nodes after it.
+        // re-clamp: the fault strikes the node's (already clipped) output,
+        // and only the nodes after it re-run.
         float* lane = frontier.data() + l * lane_sz;
         std::memcpy(lane, act.data(), lane_sz * sizeof(float));
         const auto element = static_cast<std::size_t>(fault.weight_index);
@@ -612,14 +432,6 @@ void ClassificationCore::evaluate_activation_group(
                 break;
         }
     }
-}
-
-std::size_t ClassificationCore::ensemble_bytes() const noexcept {
-    std::size_t floats = lane_buf_.numel() + ensemble_input_.numel();
-    for (const auto& t : ensemble_golden_) floats += t.numel();
-    for (const auto& t : ensemble_scratch_) floats += t.numel();
-    for (const auto& t : row_cache_) floats += t.numel();
-    return floats * sizeof(float);
 }
 
 CampaignFingerprint ClassificationCore::fingerprint(

@@ -1,23 +1,28 @@
 #pragma once
 // ClassificationCore: the fault -> outcome kernel. One core = one network's
-// weight storage + one golden-activation cache + one scratch arena; the
-// CampaignEngine owns one core per worker and everything above this layer
-// (sampling, journaling, progress, fan-out) is core-count agnostic.
+// weight storage + one golden-activation cache + one ensemble workspace;
+// the CampaignEngine owns one core per worker and everything above this
+// layer (sampling, journaling, progress, fan-out) is core-count agnostic.
+// evaluate_group() is the only classification path: a lone fault is a
+// group of one.
 //
 // Performance model (what makes exhaustive validation feasible on a CPU):
 //  * the golden activations of every node are cached once, via a SINGLE
 //    batched forward_all over the whole (N,C,H,W) evaluation tensor, then
 //    split back into per-image rows (bit-identical to per-image passes:
 //    every layer computes batch rows independently — see nn/gemm.hpp);
-//  * a weight fault in graph node k only dirties nodes >= k, so each faulty
-//    inference re-runs only the downstream sub-graph (Network::forward_from);
+//  * a weight fault in graph node k only dirties nodes >= k, and within
+//    node k only the output row its corrupted word feeds: each lane copies
+//    the golden output of k, recomputes that one row, and the lanes of a
+//    group re-run the downstream sub-graph together as one batch
+//    (Network::forward_ensemble);
 //  * a stuck-at equal to the golden bit is masked by construction and is
 //    classified Non-critical without any inference (half of a stuck-at
 //    universe on average);
-//  * per-image early exit: a fault is Critical as soon as one image trips
-//    the policy, so critical faults rarely scan the whole evaluation set;
-//  * the scratch arena (and each Conv2d's im2col workspace) is preallocated
-//    by a warm-up pass, so the ~10^5-fault hot loop never allocates.
+//  * per-image early exit: a lane is Critical as soon as one image trips
+//    the policy and leaves the batch, so critical faults rarely scan the
+//    whole evaluation set;
+//  * the ensemble workspace is grow-only and reused across groups.
 
 #include <span>
 #include <string>
@@ -30,9 +35,9 @@
 
 namespace statfi::core {
 
-/// Golden forward-pass state shared by the weight-fault core and the
-/// activation-fault campaign: per-image inputs, per-node activations,
-/// top-1 predictions, and the evaluation order that makes early exit pay.
+/// Golden forward-pass state of one network on one evaluation set: per-image
+/// inputs, per-node activations, top-1 predictions, and the evaluation
+/// order that makes early exit pay.
 struct GoldenCache {
     std::vector<Tensor> images;             ///< (1, C, H, W) each
     std::vector<int> labels;
@@ -55,8 +60,7 @@ public:
     /// Clones nothing: operates directly on @p net's weights (restoring
     /// them after every fault). Resolves and deploys the config's
     /// mitigations on @p net (clip rules install a node hook, so the golden
-    /// pass measures the hardened network), caches golden activations, and
-    /// warms the scratch arena with one (uncounted) full-depth forward_from.
+    /// pass measures the hardened network) and caches golden activations.
     ClassificationCore(nn::Network& net, const data::Dataset& eval,
                        ExecutorConfig config = {});
 
@@ -74,40 +78,42 @@ public:
         return inferences_;
     }
 
-    /// Classify one fault (weights or activations are corrupted and
-    /// restored internally). Dispatches on fault.model: weight faults
-    /// corrupt stored weight words and re-run the downstream sub-graph per
-    /// image; ActivationFlip faults corrupt one element of one node's
-    /// golden activation during ONE inference whose image is a pure
-    /// function of the fault — (element + bit) mod |eval| — so transient
-    /// campaigns stay bit-identical across worker counts, shard splits, and
-    /// interrupt/resume points. Weight/multi-bit faults in a TMR-protected
-    /// layer are outvoted and Masked without inference.
+    /// Classify one fault: evaluate_group() over a group of one.
     FaultOutcome evaluate(const fault::Fault& fault);
 
     /// Classify a batch of faults sharing one layer and one ensemble family
     /// (fault::same_ensemble_family — weight-resident models mix freely, a
     /// lane applies its own corruption; activation faults group apart) in a
-    /// single blocked pass, writing one outcome per fault into @p out. Each
-    /// fault becomes a "lane": its dirty node's output is reconstructed by
-    /// copying the golden activation and recomputing only the one output row
-    /// the corrupted weight word feeds (Layer::forward_row), then all lanes
-    /// run the downstream sub-graph together as one fault-batched ensemble
-    /// forward (Network::forward_ensemble). Outcomes and inference counts
-    /// are bit-identical to calling evaluate() per fault — grouping is a
-    /// throughput knob, like the worker count, never a semantic one.
+    /// single blocked pass, writing one outcome per fault into @p out.
+    ///
+    /// Weight faults: a fault in a TMR-protected layer is outvoted and one
+    /// whose stored word cannot change is masked; both are decided without
+    /// inference. Each live fault becomes a "lane": its dirty node's output
+    /// is the golden activation with only the one output row the corrupted
+    /// weight word feeds recomputed (Layer::forward_row), then all lanes run
+    /// the downstream sub-graph together, image by image, and leave the
+    /// batch as soon as the policy decides them.
+    ///
+    /// Activation faults (ActivationFlip) corrupt one element of one node's
+    /// golden activation during ONE inference whose image is a pure
+    /// function of the fault — (element + bit) mod |eval| — so transient
+    /// campaigns stay bit-identical across worker counts, shard splits, and
+    /// interrupt/resume points.
+    ///
+    /// Outcomes and inference counts do not depend on how faults are
+    /// grouped — grouping is a throughput knob, like the worker count, never
+    /// a semantic one. tests/core/ensemble_test.cpp checks both against an
+    /// independent per-fault oracle (tests/support/reference_classifier.hpp).
     /// @throws std::invalid_argument when faults mix layers or families.
+    /// @throws std::out_of_range for an activation element past its node.
     void evaluate_group(std::span<const fault::Fault> faults,
                         FaultOutcome* out);
-
-    /// Ensemble workspace footprint in bytes (diagnostics for bench_perf).
-    [[nodiscard]] std::size_t ensemble_bytes() const noexcept;
 
     /// Attach telemetry: this core reports into @p session's per-worker
     /// slot @p worker (each engine worker owns exactly one slot — the
     /// lock-free single-writer contract). nullptr detaches; the detached
-    /// hot path costs one pointer compare and never reads a clock, and
-    /// outcomes are identical either way (telemetry only observes).
+    /// hot path never reads a clock, and outcomes are identical either way
+    /// (telemetry only observes).
     void set_telemetry(telemetry::Session* session,
                        std::size_t worker) noexcept {
         telemetry_ = session;
@@ -122,12 +128,6 @@ public:
         const fault::FaultUniverse& universe, std::string model_id) const;
 
 private:
-    FaultOutcome classify_active_fault(int first_dirty_node);
-    FaultOutcome evaluate_activation(const fault::Fault& fault);
-    FaultOutcome evaluate_instrumented(const fault::Fault& fault);
-
-    void evaluate_group_plain(std::span<const fault::Fault> faults,
-                              FaultOutcome* out);
     void evaluate_weight_group(std::span<const fault::Fault> faults,
                                FaultOutcome* out);
     void evaluate_activation_group(std::span<const fault::Fault> faults,
@@ -147,7 +147,6 @@ private:
     fault::WeightInjector injector_;
     GoldenCache golden_;
     std::uint64_t inferences_ = 0;
-    std::vector<Tensor> scratch_;
     telemetry::Session* telemetry_ = nullptr;
     std::size_t worker_ = 0;
 
@@ -166,7 +165,8 @@ private:
     std::vector<Tensor> row_cache_;
     int row_cache_node_ = -1;
     /// suffix_deps_[d]: producers p < d that some node > d reads — exactly
-    /// the golden entries forward_from(d + 1) dereferences besides d itself.
+    /// the golden entries the suffix pass from d + 1 dereferences besides d
+    /// itself.
     std::vector<std::vector<int>> suffix_deps_;
     std::vector<char> suffix_needs_input_;
     std::vector<std::size_t> active_;       ///< undecided lanes (fault index)

@@ -80,10 +80,6 @@ ClassificationCore& CampaignEngine::core(std::size_t worker) {
     return workers_.at(worker)->core;
 }
 
-FaultOutcome CampaignEngine::evaluate(const fault::Fault& fault) {
-    return workers_.front()->core.evaluate(fault);
-}
-
 CampaignFingerprint CampaignEngine::fingerprint(
     const fault::FaultUniverse& universe, std::string model_id) const {
     return workers_.front()->core.fingerprint(universe, std::move(model_id));

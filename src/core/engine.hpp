@@ -84,12 +84,11 @@ public:
     /// Total faulty inferences summed over all workers.
     [[nodiscard]] std::uint64_t inference_count() const;
 
-    /// Direct access to a worker's kernel (worker 0 by default) — for
-    /// single-fault probes and the adaptive refinement loop.
+    /// Direct access to a worker's kernel (worker 0 by default), outside
+    /// the executor — for single-fault probes (core().evaluate(f)) and
+    /// per-group cost measurement. Campaigns, the census and the adaptive
+    /// sampler all classify through the executor instead.
     [[nodiscard]] ClassificationCore& core(std::size_t worker = 0);
-
-    /// Classify one fault on worker 0.
-    FaultOutcome evaluate(const fault::Fault& fault);
 
     /// See ClassificationCore::fingerprint.
     [[nodiscard]] CampaignFingerprint fingerprint(

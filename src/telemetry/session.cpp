@@ -30,15 +30,10 @@ Session::Session(SessionOptions options) : options_(options) {
         "statfi_faults_critical_total", "Faults classified Critical");
     ids_.inferences_total = metrics_.add_counter(
         "statfi_inferences_total", "Faulty image inferences executed");
-    ids_.inject_ns_total = metrics_.add_counter(
-        "statfi_inject_nanoseconds_total",
-        "Nanoseconds spent corrupting weights");
     ids_.forward_ns_total = metrics_.add_counter(
         "statfi_forward_nanoseconds_total",
-        "Nanoseconds spent in faulty forward passes");
-    ids_.restore_ns_total = metrics_.add_counter(
-        "statfi_restore_nanoseconds_total",
-        "Nanoseconds spent restoring golden weights");
+        "Nanoseconds spent classifying evaluation groups (injection, "
+        "faulty forward passes and restore of a whole group)");
     ids_.journal_records_total = metrics_.add_counter(
         "statfi_journal_records_total",
         "Outcome records appended to the checkpoint journal");

@@ -45,9 +45,7 @@ struct MetricIds {
     MetricId masked_total;        ///< masked short-circuits (no inference)
     MetricId critical_total;      ///< faults classified Critical
     MetricId inferences_total;    ///< faulty image inferences
-    MetricId inject_ns_total;     ///< nanoseconds corrupting weights
-    MetricId forward_ns_total;    ///< nanoseconds in faulty forward passes
-    MetricId restore_ns_total;    ///< nanoseconds restoring golden weights
+    MetricId forward_ns_total;    ///< nanoseconds in evaluation groups
     // durability counters
     MetricId journal_records_total;
     MetricId checkpoint_flushes_total;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "core/estimator.hpp"
 #include "models/micronet.hpp"
@@ -120,27 +121,101 @@ TEST(Adaptive, RejectsMismatchedTruth) {
                  std::invalid_argument);
 }
 
-TEST(Adaptive, LiveExecutionAgreesWithPolicy) {
-    // Smoke test of the injecting variant on a trained network.
-    auto net = models::make_micronet();
-    stats::Rng rng(31);
-    nn::init_network_kaiming(net, rng);
-    data::SyntheticSpec spec;
-    spec.noise_stddev = 0.8;
-    auto train = data::make_synthetic(spec, 256, "train");
-    nn::train_classifier(net, train.images, train.labels, 3, 32, {}, rng);
-    auto eval = data::make_synthetic(spec, 3, "test");
-    auto universe = fault::FaultUniverse::stuck_at(net);
-    ClassificationCore core(net, eval);
+/// A small trained fixture for the live (injecting) variant: two eval
+/// images, built once per process.
+struct LiveFixture {
+    nn::Network net = models::make_micronet();
+    data::Dataset eval;
+    fault::FaultUniverse universe = fault::FaultUniverse::stuck_at(net);
 
+    LiveFixture() {
+        stats::Rng rng(31);
+        nn::init_network_kaiming(net, rng);
+        data::SyntheticSpec spec;
+        spec.noise_stddev = 0.8;
+        auto train = data::make_synthetic(spec, 256, "train");
+        nn::train_classifier(net, train.images, train.labels, 3, 32, {}, rng);
+        eval = data::make_synthetic(spec, 2, "test");
+    }
+};
+
+const LiveFixture& live_fixture() {
+    static const LiveFixture fx;
+    return fx;
+}
+
+AdaptiveConfig live_config() {
     AdaptiveConfig config;
     config.pilot_size = 10;
     config.spec.error_margin = 0.05;
-    const auto result = run_adaptive(core, universe, config, stats::Rng(5));
+    return config;
+}
+
+/// GoldenMismatch: a fault is critical when any image's top-1 changes, so
+/// the two-image fixture yields critical faults whatever its accuracy.
+ExecutorConfig golden_mismatch() {
+    ExecutorConfig config;
+    config.policy = ClassificationPolicy::GoldenMismatch;
+    return config;
+}
+
+void expect_same_result(const AdaptiveResult& a, const AdaptiveResult& b) {
+    EXPECT_EQ(a.pilot_injected, b.pilot_injected);
+    EXPECT_EQ(a.refinement_injected, b.refinement_injected);
+    ASSERT_EQ(a.combined.subpops.size(), b.combined.subpops.size());
+    for (std::size_t s = 0; s < a.combined.subpops.size(); ++s) {
+        const SubpopResult& x = a.combined.subpops[s];
+        const SubpopResult& y = b.combined.subpops[s];
+        SCOPED_TRACE("subpop " + std::to_string(s));
+        EXPECT_EQ(x.plan.layer, y.plan.layer);
+        EXPECT_EQ(x.plan.bit, y.plan.bit);
+        EXPECT_EQ(x.plan.sample_size, y.plan.sample_size);
+        EXPECT_EQ(x.plan.p, y.plan.p);
+        EXPECT_EQ(x.injected, y.injected);
+        EXPECT_EQ(x.critical, y.critical);
+        EXPECT_EQ(x.masked, y.masked);
+    }
+}
+
+TEST(Adaptive, LiveExecutionAgreesWithPolicy) {
+    // Smoke test of the injecting variant on a trained network.
+    const auto& fx = live_fixture();
+    CampaignEngine engine(fx.net, fx.eval);
+    const auto result =
+        run_adaptive(engine, fx.universe, live_config(), stats::Rng(5));
     EXPECT_GT(result.total_injected(), 0u);
-    const auto network = estimate_network(universe, result.combined);
+    const auto network = estimate_network(fx.universe, result.combined);
     EXPECT_GE(network.rate, 0.0);
     EXPECT_LE(network.rate, 1.0);
+}
+
+TEST(Adaptive, LiveRunIsWorkerCountInvariant) {
+    // Both phases classify through the engine's shared executor, so the
+    // worker count — like any other throughput knob — cannot reach a tally.
+    const auto& fx = live_fixture();
+    CampaignEngine one(fx.net, fx.eval, golden_mismatch(), 1);
+    CampaignEngine four(fx.net, fx.eval, golden_mismatch(), 4);
+    const auto a = run_adaptive(one, fx.universe, live_config(), stats::Rng(5));
+    const auto b =
+        run_adaptive(four, fx.universe, live_config(), stats::Rng(5));
+    EXPECT_GT(a.combined.total_critical(), 0u);  // not vacuous
+    EXPECT_GT(a.refinement_injected, 0u);
+    expect_same_result(a, b);
+    EXPECT_EQ(one.inference_count(), four.inference_count());
+}
+
+TEST(Adaptive, LiveRunMatchesReplay) {
+    // Injecting live and replaying the engine's own census draw the same
+    // faults from the same streams and must agree on every outcome.
+    const auto& fx = live_fixture();
+    CampaignEngine engine(fx.net, fx.eval, golden_mismatch(), 2);
+    const ExhaustiveOutcomes truth = engine.run_exhaustive(fx.universe);
+    const auto live =
+        run_adaptive(engine, fx.universe, live_config(), stats::Rng(8));
+    const auto replayed =
+        replay_adaptive(fx.universe, truth, live_config(), stats::Rng(8));
+    EXPECT_GT(live.combined.total_critical(), 0u);  // not vacuous
+    expect_same_result(live, replayed);
 }
 
 }  // namespace

@@ -1,18 +1,22 @@
 // Tests for the fault-batched ensemble forward: evaluate_group() must be
-// bit-identical — outcomes AND inference counts — to calling evaluate() once
-// per fault, for every fault model, classification policy, mitigation, and
-// ensemble width. Grouping is a throughput knob like the worker count; this
-// suite is the contract that keeps it from ever becoming a semantic one.
+// bit-identical — outcomes AND inference counts — to the per-fault oracle
+// (tests/support/reference_classifier.hpp: one fault, one image, one full
+// downstream forward pass at a time), for every fault model, classification
+// policy, mitigation, and ensemble width. Grouping is a throughput knob
+// like the worker count; this suite is the contract that keeps it from
+// ever becoming a semantic one.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "models/micronet.hpp"
 #include "nn/init.hpp"
 #include "nn/trainer.hpp"
+#include "../support/reference_classifier.hpp"
 
 namespace statfi::core {
 namespace {
@@ -67,9 +71,9 @@ std::vector<std::vector<fault::Fault>> make_groups(
     return groups;
 }
 
-/// The identity check: one core classifies via evaluate_group, a second
-/// (private network clone) via the per-fault loop. Outcomes and inference
-/// counts must match exactly.
+/// The identity check: a core classifies via evaluate_group, the per-fault
+/// oracle (private network clone) one fault at a time. Outcomes and
+/// inference counts must match exactly.
 void expect_group_identity(const Fixture& fx, const std::string& model,
                            ExecutorConfig config, std::size_t width,
                            std::uint64_t begin, std::uint64_t count) {
@@ -79,7 +83,7 @@ void expect_group_identity(const Fixture& fx, const std::string& model,
     // Universe layout is weight-layer-indexed, not storage-pointer-bound:
     // net_b's clone has identical shapes, so faults decode the same.
     ClassificationCore grouped(net_a, fx.eval, config);
-    ClassificationCore singles(net_b, fx.eval, config);
+    testsupport::ReferenceClassifier singles(net_b, fx.eval, config);
 
     for (const auto& group :
          make_groups(universe, begin, count, width)) {
@@ -116,12 +120,21 @@ TEST(EnsembleForward, MatchesAcrossPolicies) {
 }
 
 TEST(EnsembleForward, MatchesAcrossWidths) {
+    // Width 1 runs every fault as a group of one; stuck-at at width 2 pairs
+    // each weight's SA0/SA1, one of which is always masked, so every group
+    // has exactly one live lane.
     auto fx = Fixture::make();
     for (std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                               std::size_t{8}, std::size_t{64}}) {
         SCOPED_TRACE(width);
         expect_group_identity(fx, "stuck-at", {}, width, 0, 48);
     }
+    for (const char* model : {"flip", "activation"})
+        for (std::size_t width : {std::size_t{1}, std::size_t{2}}) {
+            SCOPED_TRACE(std::string(model) + " width " +
+                         std::to_string(width));
+            expect_group_identity(fx, model, {}, width, 0, 48);
+        }
 }
 
 TEST(EnsembleForward, MatchesUnderMitigation) {
@@ -163,14 +176,14 @@ TEST(EnsembleForward, RejectsMixedGroups) {
 TEST(EnsembleForward, MixedWeightModelsGroupTogether) {
     // Different weight-resident models sharing one layer are one family:
     // a group mixing stuck-at polarities, a bit flip, and a multi-bit upset
-    // must classify identically to the per-fault loop. This is the shape the
+    // must classify identically to the per-fault oracle. This is the shape the
     // engine actually produces — stuck-at universes alternate polarity at
     // consecutive indices.
     auto fx = Fixture::make();
     nn::Network net_a = fx.net.clone();
     nn::Network net_b = fx.net.clone();
     ClassificationCore grouped(net_a, fx.eval);
-    ClassificationCore singles(net_b, fx.eval);
+    testsupport::ReferenceClassifier singles(net_b, fx.eval);
     std::vector<fault::Fault> group;
     for (std::uint32_t i = 0; i < 8; ++i) {
         fault::Fault f;

@@ -90,9 +90,9 @@ TEST(TelemetryIdentity, CensusTableBytesIdenticalTelemetryOnVsOff) {
     EXPECT_EQ(snap.find("statfi_faults_total")->counter, kCensusSpan);
     EXPECT_EQ(snap.find("statfi_faults_critical_total")->counter,
               run.outcomes.critical_count(0, kCensusSpan));
-    // evaluate_seconds observes one sample per evaluation PASS: a blocked
-    // ensemble group (up to ensemble_width faults sharing a layer and
-    // family) books one sample, a degenerate single-fault pass books one.
+    // evaluate_seconds observes one sample per evaluation group: up to
+    // ensemble_width faults sharing a layer and family, a lone fault being
+    // a group of one.
     const auto evaluate_samples =
         snap.find("statfi_evaluate_seconds")->count;
     EXPECT_GE(evaluate_samples,

@@ -799,8 +799,8 @@ int cmd_campaign(const Options& opt) {
         telemetry::PhaseScope scope(session, "fixture_build");
         return shard::build_fixture(recipe);
     }();
-    // Like --threads, --ensemble tunes throughput only: the blocked
-    // ensemble pass is bit-identical to the per-fault loop.
+    // Like --threads, --ensemble tunes throughput only: a fault's outcome
+    // does not depend on the group it is classified in.
     if (opt.ensemble) fx.config.ensemble_width = opt.ensemble;
     core::CampaignEngine engine(fx.net, fx.eval, fx.config, opt.threads,
                                 session);
