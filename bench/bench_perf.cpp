@@ -174,8 +174,14 @@ void BM_FaultEvaluation(benchmark::State& state) {
     auto net = prepared("micronet");
     data::SyntheticSpec spec;
     auto eval = data::make_synthetic(spec, 4, "test");
-    core::CampaignEngine engine(net, eval);
-    fault::Fault f;  // bit flips are never masked: guaranteed live inference
+    // A bit flip is never masked, and GoldenMismatch compares against every
+    // golden prediction: this untrained net gets no image right, so under
+    // the default AnyMisprediction policy each call would short-circuit
+    // before inference.
+    core::ExecutorConfig config;
+    config.policy = core::ClassificationPolicy::GoldenMismatch;
+    core::CampaignEngine engine(net, eval, config);
+    fault::Fault f;
     f.layer = 2;
     f.weight_index = 5;
     f.bit = 12;
@@ -655,13 +661,7 @@ int run_shard_report(const std::string& json_path,
     const std::uint64_t total = fx.universe.total();
     const double single_fps = static_cast<double>(total) / single_wall;
 
-    shard::ShardManifest manifest;
-    manifest.recipe = recipe;
-    manifest.fingerprint = engine.fingerprint(fx.universe, recipe.model);
-    manifest.layer_count = static_cast<std::uint32_t>(fx.universe.layer_count());
-    manifest.plan.approach = core::Approach::Exhaustive;
-    manifest.item_count = total;
-    manifest.shards = shard::partition_items(total, 4);
+    const shard::ShardManifest manifest = shard::freeze_manifest(recipe, fx, 4);
     manifest.save(manifest_path);
 
     struct ShardRun {

@@ -14,10 +14,11 @@
 //   CLI / shard runner   plan (once the fixture + plan exist)
 //   CampaignEngine       stratum_update during the deterministic serial
 //                        accumulation loop (per-stratum powers-of-two
-//                        cadence + the final point), resume, and the
-//                        census strata of a complete exhaustive run
+//                        cadence + the final point), resume
 //   shard runner         shard_begin / shard_end
 //   shard merger         merge_artifact (per validated artifact)
+//   CLI / service        the census strata, at the recipe's confidence,
+//                        once the merged outcome table exists
 //
 // Determinism: everything emitted here is a function of (recipe, seed,
 // plan, outcomes) — never of worker count, wall clock, or scheduling — so

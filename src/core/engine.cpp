@@ -483,14 +483,6 @@ ExhaustiveRun CampaignEngine::run_exhaustive_durable(
         if (ex.done[i])
             run.outcomes.set(ex.lo + i,
                              static_cast<FaultOutcome>(ex.outcomes[i]));
-    if (telemetry_ && telemetry_->events() && run.complete && ex.lo == 0 &&
-        ex.hi == universe.total()) {
-        // Exact per-(layer, bit) strata of a full census. Range-restricted
-        // (shard) runs skip this — their slice is not a population, the
-        // merger emits strata once all shards are pooled.
-        emit_census_strata(*telemetry_->events(), universe, run.outcomes,
-                           0.99);
-    }
     return run;
 }
 

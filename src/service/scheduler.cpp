@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "core/convergence.hpp"
-#include "core/engine.hpp"
 #include "core/estimator.hpp"
 #include "io/atomic_file.hpp"
 #include "kernels/registry.hpp"
@@ -399,20 +398,9 @@ void Scheduler::run_job(Job job, std::size_t worker) {
             }
         }
         if (!frozen) {
-            core::CampaignEngine engine(fx.net, fx.eval, fx.config);
-            manifest.recipe = job.recipe;
-            manifest.fingerprint =
-                engine.fingerprint(fx.universe, job.recipe.model);
-            manifest.layer_count =
-                static_cast<std::uint32_t>(fx.universe.layer_count());
-            if (job.recipe.approach == core::Approach::Exhaustive) {
-                manifest.plan.approach = core::Approach::Exhaustive;
-                manifest.item_count = fx.universe.total();
-            } else {
-                manifest.plan =
-                    engine.plan(fx.universe, shard::campaign_spec(job.recipe));
-                manifest.item_count = manifest.plan.total_sample_size();
-            }
+            // The requested width is clamped to the item count, which only
+            // the frozen plan knows: freeze one shard, then re-cut.
+            manifest = shard::freeze_manifest(job.recipe, fx, 1);
             const std::uint64_t want = job.shards == 0 ? 1 : job.shards;
             manifest.shards = shard::partition_items(
                 manifest.item_count,
@@ -546,16 +534,13 @@ void Scheduler::run_job(Job job, std::size_t worker) {
             const shard::MergedCampaign merged =
                 shard::merge_shards(manifest, manifest_path);
             merge_span.close();
-            std::uint64_t critical = 0;
+            const std::uint64_t critical = merged.critical();
             if (merged.kind == shard::CampaignKind::Census) {
                 core::emit_census_strata(events, fx.universe, merged.outcomes,
                                          job.recipe.confidence);
-                critical =
-                    merged.outcomes.critical_count(0, fx.universe.total());
                 merged.outcomes.save(ResultCache::outcomes_path(dir));
             } else {
                 core::emit_final_strata(events, merged.result);
-                critical = merged.result.total_critical();
             }
             core::emit_campaign_end(
                 events, true, manifest.item_count, critical,

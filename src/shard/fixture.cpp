@@ -62,4 +62,29 @@ core::CampaignSpec campaign_spec(const CampaignRecipe& recipe) {
     return spec;
 }
 
+ShardManifest freeze_manifest(const CampaignRecipe& recipe,
+                              const CampaignFixture& fixture,
+                              std::uint32_t shards) {
+    core::CampaignEngine engine(fixture.net, fixture.eval, fixture.config);
+    ShardManifest manifest;
+    manifest.recipe = recipe;
+    manifest.fingerprint = engine.fingerprint(fixture.universe, recipe.model);
+    manifest.layer_count =
+        static_cast<std::uint32_t>(fixture.universe.layer_count());
+    if (recipe.approach == core::Approach::Exhaustive) {
+        manifest.plan.approach = core::Approach::Exhaustive;
+        manifest.item_count = fixture.universe.total();
+    } else {
+        manifest.plan = engine.plan(fixture.universe, campaign_spec(recipe));
+        manifest.item_count = manifest.plan.total_sample_size();
+    }
+    manifest.shards = partition_items(manifest.item_count, shards);
+    return manifest;
+}
+
+double golden_accuracy(const CampaignFixture& fixture) {
+    return core::CampaignEngine(fixture.net, fixture.eval, fixture.config)
+        .golden_accuracy();
+}
+
 }  // namespace statfi::shard

@@ -6,9 +6,11 @@
 // the recipe: the planning process, each shard runner (possibly on another
 // machine), and the unsharded reference run all call build_fixture and land
 // on bit-identical weights and evaluation tensors — verified at run time by
-// comparing campaign fingerprints against the manifest. The `statfi` CLI
-// routes its campaign/exhaustive commands through the same function, so the
-// CLI and the shard subsystem cannot drift apart.
+// comparing campaign fingerprints against the manifest. freeze_manifest is
+// the one place a manifest is planned: `statfi shard plan`, the service, and
+// the direct `statfi campaign` / `exhaustive` commands (a one-shard plan run
+// in process) all call it, so the CLI and the shard subsystem cannot drift
+// apart.
 
 #include "core/engine.hpp"
 #include "data/synthetic.hpp"
@@ -37,5 +39,19 @@ CampaignFixture build_fixture(const CampaignRecipe& recipe);
 
 /// The campaign spec a recipe's statistical parameters describe.
 core::CampaignSpec campaign_spec(const CampaignRecipe& recipe);
+
+/// Freeze @p recipe into a manifest of @p shards contiguous item ranges:
+/// the fixture's campaign fingerprint and layer count, then the item space —
+/// the whole universe for a census (empty plan), the planned statistical
+/// sample otherwise (a data-aware plan runs its weight analysis here, once).
+/// @p fixture must be build_fixture(recipe). @throws std::invalid_argument
+/// when @p shards is 0 or exceeds the item count.
+ShardManifest freeze_manifest(const CampaignRecipe& recipe,
+                              const CampaignFixture& fixture,
+                              std::uint32_t shards);
+
+/// Top-1 accuracy of the fixture's deployed network (mitigations included)
+/// on its evaluation set: the engine's golden pass, run once.
+double golden_accuracy(const CampaignFixture& fixture);
 
 }  // namespace statfi::shard

@@ -35,6 +35,13 @@ struct MergedCampaign {
     /// Statistical: pooled subpopulation tallies (wall_seconds is zero — the
     /// merger does no inference).
     core::CampaignResult result;
+
+    /// Critical outcomes over the whole merged item space.
+    [[nodiscard]] std::uint64_t critical() const {
+        return kind == CampaignKind::Census
+                   ? outcomes.critical_count(0, outcomes.size())
+                   : result.total_critical();
+    }
 };
 
 /// Merge the shard results at @p result_paths (any order) under

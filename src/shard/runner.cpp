@@ -10,6 +10,17 @@ namespace statfi::shard {
 ShardRunReport run_shard(const ShardManifest& manifest,
                          const std::string& manifest_path,
                          const ShardRunOptions& options) {
+    const CampaignFixture fx = [&] {
+        telemetry::PhaseScope scope(options.telemetry, "fixture_build");
+        return build_fixture(manifest.recipe);
+    }();
+    return run_shard(manifest, manifest_path, fx, options);
+}
+
+ShardRunReport run_shard(const ShardManifest& manifest,
+                         const std::string& manifest_path,
+                         const CampaignFixture& fx,
+                         const ShardRunOptions& options) {
     manifest.validate();
     if (options.shard >= manifest.shards.size())
         throw std::invalid_argument(
@@ -40,10 +51,6 @@ ShardRunReport run_shard(const ShardManifest& manifest,
                           .field("classified", report.classified));
     };
 
-    CampaignFixture fx = [&] {
-        telemetry::PhaseScope scope(options.telemetry, "fixture_build");
-        return build_fixture(manifest.recipe);
-    }();
     core::CampaignEngine engine(fx.net, fx.eval, fx.config, options.threads,
                                 options.telemetry);
     const core::CampaignFingerprint fp =
@@ -70,19 +77,22 @@ ShardRunReport run_shard(const ShardManifest& manifest,
     result.kind = manifest.kind();
     result.range = range;
 
+    // Census shards journal global fault indices, statistical shards item
+    // indices under the item-space fingerprint; both only over this slice.
+    core::DurabilityOptions durability;
+    durability.journal_path = report.journal_path;
+    durability.model_id = manifest.recipe.model;
+    durability.cancel = options.cancel;
+    durability.range_begin = range.begin;
+    durability.range_end = range.end;
     if (manifest.kind() == CampaignKind::Census) {
-        core::DurabilityOptions durability;
-        durability.journal_path = report.journal_path;
-        durability.model_id = manifest.recipe.model;
-        durability.cancel = options.cancel;
-        durability.range_begin = range.begin;
-        durability.range_end = range.end;
         const core::ExhaustiveRun run =
             engine.run_exhaustive_durable(fx.universe, durability,
                                           options.progress);
         report.complete = run.complete;
         report.resumed = run.resumed;
         report.classified = run.classified;
+        report.critical = run.outcomes.critical_count(range.begin, range.end);
         if (!run.complete) {
             emit_shard_end();
             return report;
@@ -91,7 +101,6 @@ ShardRunReport run_shard(const ShardManifest& manifest,
         for (std::uint64_t i = 0; i < range.size(); ++i)
             result.outcomes[i] =
                 static_cast<std::uint8_t>(run.outcomes.at(range.begin + i));
-        report.critical = run.outcomes.critical_count(range.begin, range.end);
     } else {
         const std::vector<core::DrawnFault> items = core::draw_plan(
             fx.universe, manifest.plan,
@@ -102,28 +111,17 @@ ShardRunReport run_shard(const ShardManifest& manifest,
                 " items but the manifest promises " +
                 std::to_string(manifest.item_count) +
                 " — plan/draw divergence");
-        // The engine's durable statistical path: journaled ITEM indices
-        // under the item-space fingerprint, range-restricted to this slice.
-        core::DurabilityOptions durability;
-        durability.journal_path = report.journal_path;
-        durability.model_id = manifest.recipe.model;
-        durability.cancel = options.cancel;
-        durability.range_begin = range.begin;
-        durability.range_end = range.end;
         core::StatisticalRun run = engine.run_durable(
             fx.universe, manifest.plan, items, durability, options.progress);
         report.complete = run.complete;
         report.resumed = run.resumed;
         report.classified = run.classified;
         result.outcomes = std::move(run.outcomes);
+        report.critical = run.result.total_critical();
         if (!report.complete) {
             emit_shard_end();
             return report;
         }
-        for (const std::uint8_t o : result.outcomes)
-            if (static_cast<core::FaultOutcome>(o) ==
-                core::FaultOutcome::Critical)
-                ++report.critical;
         result.subpops.resize(range.size());
         result.layers.resize(range.size());
         for (std::uint64_t i = 0; i < range.size(); ++i) {

@@ -11,7 +11,6 @@
 #include <filesystem>
 #include <string>
 
-#include "core/engine.hpp"
 #include "shard/fixture.hpp"
 #include "shard/manifest.hpp"
 
@@ -40,16 +39,8 @@ protected:
         recipe.images = 2;
         recipe.policy = core::ClassificationPolicy::GoldenMismatch;
         recipe.seed = 7;
-        auto fx = build_fixture(recipe);
-        core::CampaignEngine engine(fx.net, fx.eval, fx.config);
-        ShardManifest manifest;
-        manifest.recipe = recipe;
-        manifest.fingerprint = engine.fingerprint(fx.universe, recipe.model);
-        manifest.layer_count =
-            static_cast<std::uint32_t>(fx.universe.layer_count());
-        manifest.plan.approach = core::Approach::Exhaustive;
-        manifest.item_count = fx.universe.total();
-        manifest.shards = partition_items(manifest.item_count, shards);
+        const ShardManifest manifest =
+            freeze_manifest(recipe, build_fixture(recipe), shards);
         manifest.save(manifest_path_);
         return manifest;
     }

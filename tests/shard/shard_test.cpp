@@ -53,22 +53,7 @@ CampaignRecipe statistical_recipe(core::Approach approach) {
 /// What `statfi shard plan` does, in-process.
 ShardManifest make_manifest(const CampaignRecipe& recipe,
                             std::uint32_t shards) {
-    auto fx = build_fixture(recipe);
-    core::CampaignEngine engine(fx.net, fx.eval, fx.config);
-    ShardManifest manifest;
-    manifest.recipe = recipe;
-    manifest.fingerprint = engine.fingerprint(fx.universe, recipe.model);
-    manifest.layer_count =
-        static_cast<std::uint32_t>(fx.universe.layer_count());
-    if (recipe.approach == core::Approach::Exhaustive) {
-        manifest.plan.approach = core::Approach::Exhaustive;
-        manifest.item_count = fx.universe.total();
-    } else {
-        manifest.plan = engine.plan(fx.universe, campaign_spec(recipe));
-        manifest.item_count = manifest.plan.total_sample_size();
-    }
-    manifest.shards = partition_items(manifest.item_count, shards);
-    return manifest;
+    return freeze_manifest(recipe, build_fixture(recipe), shards);
 }
 
 /// The unsharded census this whole suite compares against — computed once.
@@ -414,6 +399,34 @@ TEST_F(ShardTest, RunnerRefusesFingerprintMismatch) {
         EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos)
             << e.what();
     }
+}
+
+TEST_F(ShardTest, PrebuiltFixtureShardMatchesRebuiltOne) {
+    // The in-process one-shard plan (`statfi campaign`) freezes and runs
+    // from one fixture; its shard result must be the rebuilding runner's.
+    const CampaignRecipe recipe = statistical_recipe(core::Approach::LayerWise);
+    const CampaignFixture fx = build_fixture(recipe);
+    const ShardManifest manifest = freeze_manifest(recipe, fx, 1);
+    manifest.save(manifest_path_);
+    ShardRunOptions options;
+    const auto prebuilt = run_shard(manifest, manifest_path_, fx, options);
+    ASSERT_TRUE(prebuilt.complete);
+    const MergedCampaign a = merge_shards(manifest, manifest_path_);
+    const auto rebuilt = run_shard(manifest, manifest_path_, options);
+    ASSERT_TRUE(rebuilt.complete);
+    EXPECT_EQ(prebuilt.critical, rebuilt.critical);
+    expect_same_result(a.result, merge_shards(manifest, manifest_path_).result);
+}
+
+TEST_F(ShardTest, PrebuiltFixtureOfAnotherRecipeIsRefused) {
+    const CampaignRecipe recipe = statistical_recipe(core::Approach::LayerWise);
+    const ShardManifest manifest = make_manifest(recipe, 1);
+    CampaignRecipe other = recipe;
+    other.seed += 1;  // different Kaiming weights and evaluation images
+    ShardRunOptions options;
+    EXPECT_THROW(
+        run_shard(manifest, manifest_path_, build_fixture(other), options),
+        std::runtime_error);
 }
 
 TEST_F(ShardTest, RunnerRefusesOutOfRangeShard) {

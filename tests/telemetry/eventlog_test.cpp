@@ -21,6 +21,7 @@
 #include "models/registry.hpp"
 #include "nn/init.hpp"
 #include "report/json_parse.hpp"
+#include "stats/intervals.hpp"
 #include "telemetry/http.hpp"
 #include "telemetry/session.hpp"
 
@@ -211,7 +212,10 @@ TEST(EventLog, StratumCadenceIsPowersOfTwoPlusFinal) {
     }
 }
 
-TEST(EventLog, CensusEmitsOneExactStratumPerCell) {
+/// A full census run with the event log attached, followed by the census
+/// strata the side holding the pooled outcome table emits (the CLI and the
+/// service, after merging) at @p confidence. Returns the log text.
+std::string census_log(double confidence) {
     auto& fx = fixture();
     std::ostringstream buffer;
     Session session;
@@ -226,10 +230,16 @@ TEST(EventLog, CensusEmitsOneExactStratumPerCell) {
     durability.range_begin = 0;
     durability.range_end = fx.universe.total();
     const auto run = engine.run_exhaustive_durable(fx.universe, durability);
-    ASSERT_TRUE(run.complete);
+    EXPECT_TRUE(run.complete);
+    core::emit_census_strata(*session.events(), fx.universe, run.outcomes,
+                             confidence);
+    return buffer.str();
+}
 
+TEST(EventLog, CensusEmitsOneExactStratumPerCell) {
+    auto& fx = fixture();
     std::size_t strata = 0;
-    for (const auto& ev : report::parse_json_lines(buffer.str())) {
+    for (const auto& ev : report::parse_json_lines(census_log(0.99))) {
         if (ev.get_str("type") != "stratum_update") continue;
         ++strata;
         // A full census: done == planned == population, Wald-FPC collapses.
@@ -237,6 +247,23 @@ TEST(EventLog, CensusEmitsOneExactStratumPerCell) {
         EXPECT_EQ(ev.get_uint("planned"), ev.get_uint("population"));
         EXPECT_NEAR(ev.get_num("wald_lo"), ev.get_num("wald_hi"), 1e-12);
         EXPECT_NEAR(ev.get_num("p_hat"), ev.get_num("wald_lo"), 1e-12);
+    }
+    EXPECT_EQ(strata, static_cast<std::size_t>(fx.universe.layer_count()) *
+                          static_cast<std::size_t>(fx.universe.bits()));
+}
+
+TEST(EventLog, CensusStrataFollowTheCampaignConfidence) {
+    // The engine's census emits no strata of its own, so a 0.95 census log
+    // holds exactly one set, every Wilson interval computed at 0.95.
+    auto& fx = fixture();
+    std::size_t strata = 0;
+    for (const auto& ev : report::parse_json_lines(census_log(0.95))) {
+        if (ev.get_str("type") != "stratum_update") continue;
+        ++strata;
+        const stats::Interval wilson = stats::wilson_interval(
+            ev.get_uint("critical"), ev.get_uint("done"), 0.95);
+        EXPECT_DOUBLE_EQ(ev.get_num("wilson_lo"), wilson.lo);
+        EXPECT_DOUBLE_EQ(ev.get_num("wilson_hi"), wilson.hi);
     }
     EXPECT_EQ(strata, static_cast<std::size_t>(fx.universe.layer_count()) *
                           static_cast<std::size_t>(fx.universe.bits()));

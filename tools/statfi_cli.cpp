@@ -6,10 +6,9 @@
 //                   [--dtype T] [--seed S]
 //   statfi campaign --model <name> --approach <a> [--margin E] [--confidence C]
 //                   [--images N] [--policy any|golden|drop] [--train]
-//                   [--dtype T] [--seed S] [--threads N] [--json]
-//   statfi exhaustive --model <name> [--images N] [--policy ...] [--train]
-//                     [--resume] [--journal PATH] [--threads N] [--json]
-//                     [--out PATH]
+//                   [--dtype T] [--seed S] [--threads N] [--resume] [--json]
+//                   [--out PATH]
+//   statfi exhaustive [campaign options]   (= campaign --approach exhaustive)
 //   statfi shard plan    --manifest PATH --shards N --model <name>
 //                        --approach <a> [campaign options]
 //   statfi shard run     --manifest PATH --shard K [--resume] [--threads N]
@@ -29,16 +28,18 @@
 // (recommended for micronet; the big topologies run with Kaiming weights and
 // the golden-mismatch policy unless trained).
 //
-// Durability: `exhaustive` and `shard run` journal every classified fault to
-// a checkpoint file. Ctrl-C flushes the journal and exits cleanly; rerunning
-// with --resume continues from the last valid record and produces outcomes
+// Durability: every campaign journals each classified fault to a checkpoint
+// file. Ctrl-C flushes the journal and exits cleanly (130); rerunning with
+// --resume continues from the last valid record and produces outcomes
 // bit-identical to an uninterrupted run.
 //
 // Scale-out: `shard plan` freezes a campaign (recipe + fingerprint + plan +
 // contiguous item ranges) into a checksummed manifest; `shard run` executes
 // one shard anywhere the manifest and binary are; `shard run-all` fans the
 // shards out over local subprocesses; `shard merge` validates every shard
-// artifact and reassembles the exact unsharded result.
+// artifact and reassembles the exact unsharded result. `campaign` and
+// `exhaustive` are the same pipeline with one shard, run in process (its
+// manifest and journal live under $STATFI_CACHE_DIR/campaign_<crc>/).
 //
 // Output contract: --json prints exactly one JSON document on stdout;
 // everything human (banners, training chatter, progress heartbeats) goes to
@@ -146,10 +147,9 @@ struct Options {
     fault::DataType dtype = fault::DataType::Float32;
     std::uint64_t seed = 2023;
     bool resume = false;    ///< continue from an existing matching journal
-    std::string journal;    ///< override the default journal path
     std::size_t threads = 1;  ///< campaign/exhaustive workers (0 = all cores)
     bool json = false;      ///< machine-readable stdout, humans on stderr
-    std::string out;        ///< exhaustive/merge: write the outcome table here
+    std::string out;        ///< census campaigns: write the outcome table here
     std::string manifest;   ///< shard commands: manifest path
     std::uint32_t shards = 0;  ///< shard plan: number of shards
     std::uint32_t shard = 0;   ///< shard run: which shard
@@ -186,6 +186,7 @@ struct Options {
         "  activation                  transient activation-flip campaign\n"
         "                              (campaign --fault-model activation)\n"
         "  exhaustive                  run the exhaustive census\n"
+        "                              (campaign --approach exhaustive)\n"
         "  shard plan                  write a shard manifest for a campaign\n"
         "  shard run                   run one shard of a manifest\n"
         "  shard run-all               run all shards as local subprocesses\n"
@@ -240,13 +241,10 @@ struct Options {
         "                              throughput only, never outcomes)\n"
         "  --resume                    continue from the journal left by an\n"
         "                              interrupted run\n"
-        "  --journal PATH              campaign/activation/exhaustive:\n"
-        "                              checkpoint journal path (default:\n"
-        "                              under the cache directory)\n"
         "  --json                      one JSON document on stdout; all human\n"
         "                              output and progress on stderr\n"
-        "  --out PATH                  exhaustive/shard merge: save the dense\n"
-        "                              outcome table (census) to PATH\n"
+        "  --out PATH                  census campaigns (exhaustive, shard\n"
+        "                              merge): save the dense outcome table\n"
         "  --manifest PATH             shard commands: the manifest artifact\n"
         "  --shards N                  shard plan: partition into N shards\n"
         "  --shard K                   shard run: which shard to execute\n"
@@ -358,7 +356,6 @@ Options parse(int argc, char** argv) {
         else if (flag == "--ensemble")
             opt.ensemble = std::strtoull(value().c_str(), nullptr, 10);
         else if (flag == "--resume") opt.resume = true;
-        else if (flag == "--journal") opt.journal = value();
         else if (flag == "--json") opt.json = true;
         else if (flag == "--out") opt.out = value();
         else if (flag == "--manifest") opt.manifest = value();
@@ -409,6 +406,11 @@ Options parse(int argc, char** argv) {
     if (opt.images <= 0) usage("--images must be positive");
     // `statfi activation` is `statfi campaign --fault-model activation`.
     if (opt.command == "activation") opt.fault_model = "activation";
+    // `statfi exhaustive` is `statfi campaign --approach exhaustive`.
+    if (opt.command == "exhaustive") {
+        opt.approach = "exhaustive";
+        opt.approach_set = true;
+    }
     // Resolve the kernel backend before any fixture or worker exists; a
     // bad name (or "native" on a CPU without SIMD) is a usage error.
     if (!opt.kernels.empty()) {
@@ -701,26 +703,32 @@ int cmd_profile(const Options& opt) {
 
 int cmd_plan(const Options& opt) {
     auto recipe = recipe_from(opt);
-    // Planning needs the engine only for the data-aware weight analysis; a
-    // single evaluation image keeps the golden pass negligible.
+    // Freezing builds an engine only for the fingerprint and a data-aware
+    // weight analysis; a single evaluation image keeps its golden pass
+    // negligible.
     recipe.images = 1;
-    auto fx = shard::build_fixture(recipe);
-    core::CampaignEngine engine(fx.net, fx.eval, fx.config);
-    const auto plan = engine.plan(fx.universe, shard::campaign_spec(recipe));
+    const auto fx = shard::build_fixture(recipe);
+    const shard::ShardManifest manifest = shard::freeze_manifest(recipe, fx, 1);
+    const bool census = manifest.kind() == shard::CampaignKind::Census;
     report::Table table({"Layer", "Name", "Population", "Planned FIs"});
-    for (int l = 0; l < fx.universe.layer_count(); ++l)
-        table.add_row({std::to_string(l), fx.universe.layer(l).name,
-                       report::fmt_u64(fx.universe.layer_population(l)),
-                       report::fmt_u64(plan.layer_sample_size(fx.universe, l))});
+    for (int l = 0; l < fx.universe.layer_count(); ++l) {
+        const std::uint64_t population = fx.universe.layer_population(l);
+        table.add_row(
+            {std::to_string(l), fx.universe.layer(l).name,
+             report::fmt_u64(population),
+             report::fmt_u64(census ? population
+                                    : manifest.plan.layer_sample_size(
+                                          fx.universe, l))});
+    }
     table.add_row({"Total", "", report::fmt_u64(fx.universe.total()),
-                   report::fmt_u64(plan.total_sample_size())});
+                   report::fmt_u64(manifest.item_count)});
     table.print(std::cout);
-    std::cout << "\n" << core::to_string(plan.approach) << " @ e="
+    std::cout << "\n" << core::to_string(recipe.approach) << " @ e="
               << report::fmt_percent(opt.margin, 1) << "%, conf="
               << report::fmt_percent(opt.confidence, 0) << "%, dtype="
               << fault::to_string(opt.dtype) << ": injects "
               << report::fmt_percent(
-                     static_cast<double>(plan.total_sample_size()) /
+                     static_cast<double>(manifest.item_count) /
                          static_cast<double>(fx.universe.total()),
                      2)
               << "% of the exhaustive census\n";
@@ -744,138 +752,6 @@ void print_estimates(std::ostream& out, const fault::FaultUniverse& universe,
     table.print(out);
 }
 
-/// The statistical-campaign JSON document (campaign and shard merge).
-void emit_campaign_json(const shard::CampaignRecipe& recipe,
-                        const char* command,
-                        const fault::FaultUniverse& universe,
-                        const core::CampaignResult& result,
-                        double golden_accuracy) {
-    core::EstimatorConfig est_config;
-    est_config.confidence = recipe.confidence;
-    const auto network = core::estimate_network(universe, result, est_config);
-    report::JsonWriter json(std::cout);
-    json.begin_object()
-        .field("command", command)
-        .field("model", recipe.model)
-        .field("approach", core::to_string(result.approach))
-        .field("fault_model", recipe.fault_model.describe())
-        .field("mitigation", recipe.mitigation.describe())
-        .field("kernels", kernels::active().name)
-        .field("dtype", fault::to_string(recipe.dtype))
-        .field("format", fault::to_string(recipe.dtype))
-        .field("policy", core::to_string(recipe.policy))
-        .field("seed", recipe.seed)
-        .field("images", static_cast<std::int64_t>(recipe.images))
-        .field("universe_size", universe.total())
-        .field("golden_accuracy", golden_accuracy)
-        .field("interrupted", result.interrupted)
-        .field("wall_seconds", result.wall_seconds)
-        .field("total_injected", result.total_injected())
-        .field("total_critical", result.total_critical());
-    json.key("network")
-        .begin_object()
-        .field("rate", network.rate)
-        .field("margin", network.margin)
-        .end_object();
-    json.key("layers").begin_array();
-    for (const auto& le : core::estimate_layers(universe, result, est_config))
-        json.begin_object()
-            .field("layer", le.layer)
-            .field("name", universe.layer(le.layer).name)
-            .field("rate", le.estimate.rate)
-            .field("margin", le.estimate.margin)
-            .field("injected", le.estimate.injected)
-            .end_object();
-    json.end_array().end_object();
-    json.finish();
-}
-
-int cmd_campaign(const Options& opt) {
-    const auto recipe = recipe_from(opt);
-    std::ostream& out = human(opt);
-    Observatory obs = open_observatory(opt, recipe, opt.command);
-    telemetry::Session* const session = obs.get();
-    auto fx = [&] {
-        telemetry::PhaseScope scope(session, "fixture_build");
-        return shard::build_fixture(recipe);
-    }();
-    // Like --threads, --ensemble tunes throughput only: a fault's outcome
-    // does not depend on the group it is classified in.
-    if (opt.ensemble) fx.config.ensemble_width = opt.ensemble;
-    core::CampaignEngine engine(fx.net, fx.eval, fx.config, opt.threads,
-                                session);
-    const auto plan = engine.plan(fx.universe, shard::campaign_spec(recipe));
-    if (telemetry::EventLog* log = obs.events())
-        core::emit_plan_event(*log, fx.universe, plan);
-    obs.stamp_plan(fx.universe.total(), plan.total_sample_size(),
-                   plan.subpops.size());
-    out << core::to_string(plan.approach) << " campaign ("
-        << recipe.fault_model.describe() << "): "
-        << report::fmt_u64(plan.total_sample_size()) << " of "
-        << report::fmt_u64(fx.universe.total()) << " faults, "
-        << opt.images << " image(s) per fault, policy " << opt.policy
-        << "\n";
-    if (!recipe.mitigation.empty())
-        out << "mitigations: " << recipe.mitigation.describe() << "\n";
-    out << "golden accuracy on evaluation set: "
-        << report::fmt_percent(engine.golden_accuracy(), 1) << "%\n"
-        << "running on " << engine.worker_count()
-        << " worker(s)... (Ctrl-C checkpoints; rerun with --resume)\n";
-
-    // The canonical drawn sample (worker-count independent) + the durable
-    // run: every fault model shares the journaled, resumable path.
-    const std::vector<core::DrawnFault> items = core::draw_plan(
-        fx.universe, plan, stats::Rng(opt.seed).fork("campaign"));
-    core::DurabilityOptions durability;
-    durability.model_id = opt.model;
-    durability.cancel = &g_interrupt;
-    durability.journal_path =
-        opt.journal.empty()
-            ? core::cache_directory() + "/cli_campaign_" + opt.model + "_" +
-                  recipe.fault_model.describe() + "_" +
-                  core::to_string(plan.approach) + "_" +
-                  fault::to_string(opt.dtype) + "_" + opt.policy + "_n" +
-                  std::to_string(opt.images) + "_s" + std::to_string(opt.seed) +
-                  ".sfij"
-            : opt.journal;
-    if (!opt.resume) std::filesystem::remove(durability.journal_path);
-
-    std::signal(SIGINT, handle_sigint);
-    const core::StatisticalRun srun = engine.run_durable(
-        fx.universe, plan, items, durability,
-        telemetry::board_progress(session ? &session->status() : nullptr,
-                                  stderr_progress()));
-    std::signal(SIGINT, SIG_DFL);
-    const core::CampaignResult& result = srun.result;
-    if (srun.resumed > 0)
-        out << "resumed " << report::fmt_u64(srun.resumed)
-            << " outcome(s) from the journal, classified "
-            << report::fmt_u64(srun.classified) << " more\n";
-    if (result.interrupted)
-        out << "interrupted after "
-            << report::fmt_u64(result.total_injected()) << " of "
-            << report::fmt_u64(plan.total_sample_size())
-            << " planned injections; progress checkpointed to "
-            << durability.journal_path
-            << " (rerun with --resume); estimates below cover the "
-               "classified sample only\n";
-    else
-        std::filesystem::remove(durability.journal_path);
-    out << "done in " << report::fmt_double(result.wall_seconds, 1)
-        << "s (" << report::fmt_u64(engine.inference_count())
-        << " faulty inferences)\n";
-    close_observatory(opt, obs, !result.interrupted,
-                      result.total_injected(), result.total_critical(),
-                      result.wall_seconds);
-    export_telemetry(opt, session);
-    if (opt.json)
-        emit_campaign_json(recipe, opt.command.c_str(), fx.universe, result,
-                           engine.golden_accuracy());
-    else
-        print_estimates(out, fx.universe, result, opt.confidence);
-    return result.interrupted ? 130 : 0;
-}
-
 void print_census_table(std::ostream& out,
                         const fault::FaultUniverse& universe,
                         const core::ExhaustiveOutcomes& truth) {
@@ -889,17 +765,36 @@ void print_census_table(std::ostream& out,
     table.print(out);
 }
 
-/// The census JSON document (exhaustive and shard merge).
-void emit_census_json(const shard::CampaignRecipe& recipe, const char* command,
-                      const std::string& out_path,
-                      const fault::FaultUniverse& universe,
-                      const core::ExhaustiveOutcomes& truth,
-                      std::uint64_t resumed, std::uint64_t classified) {
+/// Strata a campaign reports: one per (layer, bit) cell of a census, one
+/// per planned subpopulation otherwise.
+std::uint64_t strata_of(const shard::ShardManifest& manifest,
+                        const fault::FaultUniverse& universe) {
+    return manifest.kind() == shard::CampaignKind::Census
+               ? static_cast<std::uint64_t>(universe.layer_count()) *
+                     static_cast<std::uint64_t>(universe.bits())
+               : static_cast<std::uint64_t>(manifest.plan.subpops.size());
+}
+
+/// What the shards of a finished campaign did, for the renderer.
+struct RunSummary {
+    double wall_seconds = 0.0;
+    std::uint64_t resumed = 0;     ///< items replayed from a journal
+    std::uint64_t classified = 0;  ///< items classified by the shards
+};
+
+/// The campaign JSON document: the census rates (and --out path), or the
+/// statistical estimates with the golden accuracy.
+void emit_campaign_json(const std::string& command,
+                        const shard::CampaignRecipe& recipe,
+                        const fault::FaultUniverse& universe,
+                        const shard::MergedCampaign& merged,
+                        const RunSummary& run, const std::string& out_path,
+                        std::optional<double> golden_accuracy) {
+    const bool census = merged.kind == shard::CampaignKind::Census;
     report::JsonWriter json(std::cout);
-    json.begin_object()
-        .field("command", command)
-        .field("model", recipe.model)
-        .field("fault_model", recipe.fault_model.describe())
+    json.begin_object().field("command", command).field("model", recipe.model);
+    if (!census) json.field("approach", core::to_string(recipe.approach));
+    json.field("fault_model", recipe.fault_model.describe())
         .field("mitigation", recipe.mitigation.describe())
         .field("kernels", kernels::active().name)
         .field("dtype", fault::to_string(recipe.dtype))
@@ -907,110 +802,233 @@ void emit_census_json(const shard::CampaignRecipe& recipe, const char* command,
         .field("policy", core::to_string(recipe.policy))
         .field("seed", recipe.seed)
         .field("images", static_cast<std::int64_t>(recipe.images))
-        .field("universe_size", universe.total())
-        .field("interrupted", false)
-        .field("resumed", resumed)
-        .field("classified", classified)
-        .field("critical_rate", truth.network_critical_rate());
-    json.key("layers").begin_array();
-    for (int l = 0; l < universe.layer_count(); ++l)
-        json.begin_object()
-            .field("layer", l)
-            .field("name", universe.layer(l).name)
-            .field("critical_rate", truth.layer_critical_rate(universe, l))
+        .field("universe_size", universe.total());
+    if (census) {
+        const core::ExhaustiveOutcomes& truth = merged.outcomes;
+        json.field("interrupted", false)
+            .field("resumed", run.resumed)
+            .field("classified", run.classified)
+            .field("critical_rate", truth.network_critical_rate());
+        json.key("layers").begin_array();
+        for (int l = 0; l < universe.layer_count(); ++l)
+            json.begin_object()
+                .field("layer", l)
+                .field("name", universe.layer(l).name)
+                .field("critical_rate", truth.layer_critical_rate(universe, l))
+                .end_object();
+        json.end_array();
+        if (!out_path.empty()) json.field("out", out_path);
+    } else {
+        const core::CampaignResult& result = merged.result;
+        core::EstimatorConfig est_config;
+        est_config.confidence = recipe.confidence;
+        const auto network =
+            core::estimate_network(universe, result, est_config);
+        if (golden_accuracy) json.field("golden_accuracy", *golden_accuracy);
+        json.field("interrupted", false)
+            .field("wall_seconds", run.wall_seconds)
+            .field("total_injected", result.total_injected())
+            .field("total_critical", result.total_critical());
+        json.key("network")
+            .begin_object()
+            .field("rate", network.rate)
+            .field("margin", network.margin)
             .end_object();
-    json.end_array();
-    if (!out_path.empty()) json.field("out", out_path);
+        json.key("layers").begin_array();
+        for (const auto& le :
+             core::estimate_layers(universe, result, est_config))
+            json.begin_object()
+                .field("layer", le.layer)
+                .field("name", universe.layer(le.layer).name)
+                .field("rate", le.estimate.rate)
+                .field("margin", le.estimate.margin)
+                .field("injected", le.estimate.injected)
+                .end_object();
+        json.end_array();
+    }
     json.end_object();
     json.finish();
 }
 
-int cmd_exhaustive(const Options& opt) {
-    auto recipe = recipe_from(opt);
-    recipe.approach = core::Approach::Exhaustive;
+/// What every campaign command does once its shards are merged — the direct
+/// commands and `shard merge` alike: the terminal event, the telemetry
+/// exports, the --out table, and one renderer for the human readout or the
+/// --json document.
+int finish_campaign(const Options& opt, const std::string& command,
+                    Observatory& obs, const shard::ShardManifest& manifest,
+                    const shard::CampaignFixture& fx,
+                    const shard::MergedCampaign& merged,
+                    const RunSummary& run) {
+    close_observatory(opt, obs, true, manifest.item_count, merged.critical(),
+                      run.wall_seconds);
+    export_telemetry(opt, obs.get());
     std::ostream& out = human(opt);
-    Observatory obs = open_observatory(opt, recipe, "exhaustive");
+    std::optional<double> golden_accuracy;
+    if (merged.kind == shard::CampaignKind::Census) {
+        if (!opt.out.empty()) {
+            merged.outcomes.save(opt.out);
+            out << "outcome table saved to " << opt.out << "\n";
+        }
+        if (!opt.json) print_census_table(out, fx.universe, merged.outcomes);
+    } else {
+        golden_accuracy = shard::golden_accuracy(fx);
+        if (!opt.json) {
+            out << "golden accuracy on evaluation set: "
+                << report::fmt_percent(*golden_accuracy, 1) << "%\n";
+            print_estimates(out, fx.universe, merged.result,
+                            manifest.recipe.confidence);
+        }
+    }
+    if (opt.json)
+        emit_campaign_json(command, manifest.recipe, fx.universe, merged, run,
+                           opt.out, golden_accuracy);
+    return 0;
+}
+
+/// The plan and final strata of a merged campaign — the events a campaign
+/// run in one process writes as it goes — for a process that only merged.
+void emit_merged_events(telemetry::EventLog& log,
+                        const shard::ShardManifest& manifest,
+                        const fault::FaultUniverse& universe,
+                        const shard::MergedCampaign& merged) {
+    if (merged.kind == shard::CampaignKind::Census) {
+        core::emit_plan_event_census(log, universe);
+        core::emit_census_strata(log, universe, merged.outcomes,
+                                 manifest.recipe.confidence);
+    } else {
+        core::emit_plan_event(log, universe, manifest.plan);
+        core::emit_final_strata(log, merged.result);
+    }
+}
+
+struct ShardStep {
+    shard::ShardRunReport report;
+    double wall_seconds = 0.0;
+};
+
+/// Run shard @p k of @p manifest in this process with Ctrl-C checkpointing,
+/// the stderr heartbeat and the session attached — the step `shard run` and
+/// the direct commands share. @p fx, when given, is the fixture the
+/// manifest was frozen from (no rebuild).
+ShardStep run_shard_here(const Options& opt, telemetry::Session* session,
+                         const shard::ShardManifest& manifest,
+                         const std::string& manifest_path, std::uint32_t k,
+                         const shard::CampaignFixture* fx = nullptr) {
+    shard::ShardRunOptions options;
+    options.shard = k;
+    options.resume = opt.resume;
+    options.threads = opt.threads;
+    options.cancel = &g_interrupt;
+    options.progress = telemetry::board_progress(
+        session ? &session->status() : nullptr, stderr_progress());
+    options.telemetry = session;
+    std::signal(SIGINT, handle_sigint);
+    const auto start = std::chrono::steady_clock::now();
+    ShardStep step;
+    step.report = fx ? shard::run_shard(manifest, manifest_path, *fx, options)
+                     : shard::run_shard(manifest, manifest_path, options);
+    step.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    std::signal(SIGINT, SIG_DFL);
+    if (step.report.complete && step.report.resumed > 0)
+        human(opt) << "resumed " << report::fmt_u64(step.report.resumed)
+                   << " outcome(s) from the journal, classified "
+                   << report::fmt_u64(step.report.classified) << " more\n";
+    return step;
+}
+
+/// An interrupted run's readout: where the journal is, and under --json a
+/// document saying so (no partial estimates). Exit code 130.
+int report_interrupted(const Options& opt, const std::string& command,
+                       const std::string& model,
+                       const shard::ShardRunReport& run) {
+    std::cerr << "\ninterrupted: " << report::fmt_u64(run.classified)
+              << " newly classified item(s) checkpointed to "
+              << run.journal_path << "\nrerun with --resume to continue\n";
+    if (opt.json) {
+        report::JsonWriter json(std::cout);
+        json.begin_object()
+            .field("command", command)
+            .field("model", model)
+            .field("interrupted", true)
+            .field("resumed", run.resumed)
+            .field("classified", run.classified)
+            .field("journal", run.journal_path)
+            .end_object();
+        json.finish();
+    }
+    return 130;
+}
+
+/// `campaign`, `activation` and `exhaustive`: a one-shard plan run in this
+/// process — frozen, run and merged by the functions `shard plan`, `shard
+/// run` and `shard merge` use — so a direct run cannot differ from a
+/// sharded one. The plan lives in a work directory under the cache
+/// directory named by the manifest CRC: an interrupted run leaves shard 0's
+/// journal there for --resume; a finished one deletes the directory.
+int cmd_campaign(const Options& opt) {
+    const auto recipe = recipe_from(opt);
+    if (!opt.out.empty() && recipe.approach != core::Approach::Exhaustive)
+        usage("--out applies to census campaigns only");
+    std::ostream& out = human(opt);
+    Observatory obs = open_observatory(opt, recipe, opt.command);
     telemetry::Session* const session = obs.get();
     auto fx = [&] {
         telemetry::PhaseScope scope(session, "fixture_build");
         return shard::build_fixture(recipe);
     }();
+    // Like --threads, --ensemble tunes throughput only: a fault's outcome
+    // does not depend on the group it is classified in.
     if (opt.ensemble) fx.config.ensemble_width = opt.ensemble;
-    if (telemetry::EventLog* log = obs.events())
-        core::emit_plan_event_census(*log, fx.universe);
-    obs.stamp_plan(fx.universe.total(), fx.universe.total(),
-                   static_cast<std::uint64_t>(fx.universe.layer_count()) *
-                       static_cast<std::uint64_t>(fx.universe.bits()));
-    core::CampaignEngine engine(fx.net, fx.eval, fx.config, opt.threads,
-                                session);
-    out << "exhaustive census: " << report::fmt_u64(fx.universe.total())
-        << " faults x " << opt.images << " image(s) on "
-        << engine.worker_count()
-        << " worker(s)  (Ctrl-C checkpoints; rerun with --resume)\n";
+    const shard::ShardManifest manifest = [&] {
+        telemetry::PhaseScope scope(session, "plan");
+        return shard::freeze_manifest(recipe, fx, 1);
+    }();
+    char crc[9];
+    std::snprintf(crc, sizeof(crc), "%08x", manifest.crc());
+    const std::filesystem::path work =
+        std::filesystem::path(core::cache_directory()) /
+        ("campaign_" + std::string(crc));
+    std::filesystem::create_directories(work);
+    const std::string manifest_path = (work / "manifest.sfim").string();
+    manifest.save(manifest_path);
 
-    core::DurabilityOptions durability;
-    durability.model_id = opt.model;
-    durability.cancel = &g_interrupt;
-    durability.journal_path =
-        opt.journal.empty()
-            ? core::cache_directory() + "/cli_exhaustive_" + opt.model + "_" +
-                  fault::to_string(opt.dtype) + "_" + opt.policy + "_n" +
-                  std::to_string(opt.images) + "_s" + std::to_string(opt.seed) +
-                  ".sfij"
-            : opt.journal;
-    // Without --resume any leftover journal is discarded so the census
-    // restarts from scratch; with --resume a matching journal continues.
-    if (!opt.resume) std::filesystem::remove(durability.journal_path);
+    obs.stamp_plan(fx.universe.total(), manifest.item_count,
+                   strata_of(manifest, fx.universe));
+    out << core::to_string(recipe.approach) << " campaign ("
+        << recipe.fault_model.describe() << "): "
+        << report::fmt_u64(manifest.item_count) << " of "
+        << report::fmt_u64(fx.universe.total()) << " faults, " << opt.images
+        << " image(s) per fault, policy " << opt.policy << "\n";
+    if (!recipe.mitigation.empty())
+        out << "mitigations: " << recipe.mitigation.describe() << "\n";
+    out << "running on "
+        << (opt.threads ? opt.threads
+                        : std::max<std::size_t>(
+                              1, std::thread::hardware_concurrency()))
+        << " worker(s)... (Ctrl-C checkpoints; rerun with --resume)\n";
 
-    std::signal(SIGINT, handle_sigint);
-    const auto census_start = std::chrono::steady_clock::now();
-    const auto run = engine.run_exhaustive_durable(
-        fx.universe, durability,
-        telemetry::board_progress(session ? &session->status() : nullptr,
-                                  stderr_progress()));
-    const double census_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      census_start)
-            .count();
-    std::signal(SIGINT, SIG_DFL);
-    close_observatory(opt, obs, run.complete, run.resumed + run.classified,
-                      run.outcomes.critical_count(0, fx.universe.total()),
-                      census_wall);
-    export_telemetry(opt, session);
+    const auto [run, wall] =
+        run_shard_here(opt, session, manifest, manifest_path, 0, &fx);
     if (!run.complete) {
-        std::cerr << "\ninterrupted: " << report::fmt_u64(run.classified)
-                  << " newly classified fault(s) checkpointed to "
-                  << durability.journal_path << "\nrerun with --resume to "
-                  << "continue from the journal\n";
-        if (opt.json) {
-            report::JsonWriter json(std::cout);
-            json.begin_object()
-                .field("command", "exhaustive")
-                .field("model", opt.model)
-                .field("interrupted", true)
-                .field("resumed", run.resumed)
-                .field("classified", run.classified)
-                .field("journal", durability.journal_path)
-                .end_object();
-            json.finish();
-        }
-        return 130;
+        close_observatory(opt, obs, false, run.resumed + run.classified,
+                          run.critical, wall);
+        export_telemetry(opt, session);
+        return report_interrupted(opt, opt.command, recipe.model, run);
     }
-    std::filesystem::remove(durability.journal_path);
-    if (run.resumed > 0)
-        out << "resumed " << report::fmt_u64(run.resumed)
-            << " outcome(s) from the journal, classified "
-            << report::fmt_u64(run.classified) << " more\n";
-    if (!opt.out.empty()) {
-        run.outcomes.save(opt.out);
-        out << "outcome table saved to " << opt.out << "\n";
-    }
-    if (opt.json)
-        emit_census_json(recipe, "exhaustive", opt.out, fx.universe,
-                         run.outcomes, run.resumed, run.classified);
-    else
-        print_census_table(out, fx.universe, run.outcomes);
-    return 0;
+    out << "done in " << report::fmt_double(wall, 1) << "s\n";
+    const shard::MergedCampaign merged =
+        shard::merge_shards(manifest, manifest_path, session);
+    std::filesystem::remove_all(work);
+    // The shard run logged the plan and, for a statistical campaign, the
+    // engine's running strata; a census's strata need the pooled table.
+    if (telemetry::EventLog* log = obs.events();
+        log && merged.kind == shard::CampaignKind::Census)
+        core::emit_census_strata(*log, fx.universe, merged.outcomes,
+                                 recipe.confidence);
+    return finish_campaign(opt, opt.command, obs, manifest, fx, merged,
+                           {wall, run.resumed, run.classified});
 }
 
 // --- shard subcommands -----------------------------------------------------
@@ -1019,22 +1037,8 @@ int cmd_shard_plan(const Options& opt) {
     if (opt.manifest.empty()) usage("shard plan needs --manifest");
     if (opt.shards == 0) usage("shard plan needs --shards N");
     const auto recipe = recipe_from(opt);
-    auto fx = shard::build_fixture(recipe);
-    core::CampaignEngine engine(fx.net, fx.eval, fx.config);
-
-    shard::ShardManifest manifest;
-    manifest.recipe = recipe;
-    manifest.fingerprint = engine.fingerprint(fx.universe, recipe.model);
-    manifest.layer_count =
-        static_cast<std::uint32_t>(fx.universe.layer_count());
-    if (recipe.approach == core::Approach::Exhaustive) {
-        manifest.plan.approach = core::Approach::Exhaustive;
-        manifest.item_count = fx.universe.total();
-    } else {
-        manifest.plan = engine.plan(fx.universe, shard::campaign_spec(recipe));
-        manifest.item_count = manifest.plan.total_sample_size();
-    }
-    manifest.shards = shard::partition_items(manifest.item_count, opt.shards);
+    const shard::ShardManifest manifest = shard::freeze_manifest(
+        recipe, shard::build_fixture(recipe), opt.shards);
     manifest.save(opt.manifest);
 
     std::ostream& out = human(opt);
@@ -1083,38 +1087,13 @@ int cmd_shard_run(const Options& opt) {
     telemetry::Session* const session = obs.get();
     obs.stamp_plan(0, manifest.item_count,
                    static_cast<std::uint64_t>(manifest.plan.subpops.size()));
-    shard::ShardRunOptions run_options;
-    run_options.shard = opt.shard;
-    run_options.resume = opt.resume;
-    run_options.threads = opt.threads;
-    run_options.cancel = &g_interrupt;
-    run_options.progress = telemetry::board_progress(
-        session ? &session->status() : nullptr, stderr_progress());
-    run_options.telemetry = session;
-
-    std::signal(SIGINT, handle_sigint);
-    const auto shard_start = std::chrono::steady_clock::now();
-    const auto run = shard::run_shard(manifest, opt.manifest, run_options);
-    const double shard_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      shard_start)
-            .count();
-    std::signal(SIGINT, SIG_DFL);
+    const auto [run, wall] =
+        run_shard_here(opt, session, manifest, opt.manifest, opt.shard);
     close_observatory(opt, obs, run.complete, run.resumed + run.classified,
-                      run.critical, shard_wall);
+                      run.critical, wall);
     export_telemetry(opt, session);
-
-    if (!run.complete) {
-        std::cerr << "\ninterrupted: " << report::fmt_u64(run.classified)
-                  << " newly classified item(s) checkpointed to "
-                  << run.journal_path
-                  << "\nrerun with --resume to continue\n";
-        return 130;
-    }
-    if (run.resumed > 0)
-        out << "resumed " << report::fmt_u64(run.resumed)
-            << " outcome(s) from the journal, classified "
-            << report::fmt_u64(run.classified) << " more\n";
+    if (!run.complete)
+        return report_interrupted(opt, "shard-run", manifest.recipe.model, run);
     out << "shard " << opt.shard << " complete: result written to "
         << run.result_path << "\n";
     if (opt.json) {
@@ -1247,6 +1226,8 @@ int cmd_shard_run_all(const Options& opt) {
 int cmd_shard_merge(const Options& opt) {
     if (opt.manifest.empty()) usage("shard merge needs --manifest");
     const auto manifest = shard::ShardManifest::load(opt.manifest);
+    if (!opt.out.empty() && manifest.kind() != shard::CampaignKind::Census)
+        usage("--out applies to census campaigns only");
     Observatory obs = open_observatory(opt, manifest.recipe, "shard-merge");
     telemetry::Session* const session = obs.get();
     const auto merge_start = std::chrono::steady_clock::now();
@@ -1255,64 +1236,26 @@ int cmd_shard_merge(const Options& opt) {
     // Human-facing readouts (and the merged campaign's strata events) need
     // layer names/index ranges — rebuild the fixture (the merge itself
     // never needed it).
-    auto fx = [&] {
+    const auto fx = [&] {
         telemetry::PhaseScope scope(session, "fixture_build");
         return shard::build_fixture(manifest.recipe);
     }();
     obs.stamp_plan(fx.universe.total(), manifest.item_count,
-                   merged.kind == shard::CampaignKind::Census
-                       ? static_cast<std::uint64_t>(fx.universe.layer_count()) *
-                             static_cast<std::uint64_t>(fx.universe.bits())
-                       : static_cast<std::uint64_t>(
-                             manifest.plan.subpops.size()));
-    std::uint64_t merged_critical = 0;
-    if (telemetry::EventLog* log = obs.events()) {
-        // The merged campaign's log carries the same plan + final strata a
-        // direct run would have written, so `statfi report` treats both
-        // identically.
-        if (merged.kind == shard::CampaignKind::Census) {
-            core::emit_plan_event_census(*log, fx.universe);
-            core::emit_census_strata(*log, fx.universe, merged.outcomes,
-                                     manifest.recipe.confidence);
-        } else {
-            core::emit_plan_event(*log, fx.universe, manifest.plan);
-            core::emit_final_strata(*log, merged.result);
-        }
-    }
-    if (merged.kind == shard::CampaignKind::Census)
-        merged_critical = merged.outcomes.critical_count(0, fx.universe.total());
-    else
-        merged_critical = merged.result.total_critical();
-    close_observatory(opt, obs, true, manifest.item_count, merged_critical,
-                      std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - merge_start)
-                          .count());
-    export_telemetry(opt, session);
-    std::ostream& out = human(opt);
-
-    if (merged.kind == shard::CampaignKind::Census) {
-        if (!opt.out.empty()) {
-            merged.outcomes.save(opt.out);
-            out << "merged outcome table saved to " << opt.out << "\n";
-        }
-        if (opt.json)
-            emit_census_json(manifest.recipe, "shard-merge", opt.out,
-                             fx.universe, merged.outcomes, 0, 0);
-        else
-            print_census_table(out, fx.universe, merged.outcomes);
-    } else {
-        if (!opt.out.empty())
-            usage("--out applies to census merges only");
-        if (opt.json)
-            emit_campaign_json(manifest.recipe, "shard-merge", fx.universe,
-                               merged.result, 0.0);
-        else
-            print_estimates(out, fx.universe, merged.result,
-                            manifest.recipe.confidence);
-    }
-    out << "merged " << manifest.shards.size() << " shard(s), "
-        << report::fmt_u64(manifest.item_count) << " item(s)\n";
-    return 0;
+                   strata_of(manifest, fx.universe));
+    // The merged campaign's log carries the same plan + final strata a
+    // direct run writes, so `statfi report` treats both identically.
+    if (telemetry::EventLog* log = obs.events())
+        emit_merged_events(*log, manifest, fx.universe, merged);
+    // Every item was classified by some shard; the merge replays none.
+    const int rc = finish_campaign(
+        opt, "shard-merge", obs, manifest, fx, merged,
+        {std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       merge_start)
+             .count(),
+         0, manifest.item_count});
+    human(opt) << "merged " << manifest.shards.size() << " shard(s), "
+               << report::fmt_u64(manifest.item_count) << " item(s)\n";
+    return rc;
 }
 
 // --- report ----------------------------------------------------------------
@@ -1336,18 +1279,8 @@ report::ObservatoryModel model_from_manifest(const Options& opt) {
     std::ostringstream buffer;
     telemetry::EventLog log(buffer);
     core::emit_campaign_header(log, header_from(manifest.recipe, "shard-merge"));
-    std::uint64_t critical = 0;
-    if (merged.kind == shard::CampaignKind::Census) {
-        core::emit_plan_event_census(log, fx.universe);
-        core::emit_census_strata(log, fx.universe, merged.outcomes,
-                                 manifest.recipe.confidence);
-        critical = merged.outcomes.critical_count(0, fx.universe.total());
-    } else {
-        core::emit_plan_event(log, fx.universe, manifest.plan);
-        core::emit_final_strata(log, merged.result);
-        critical = merged.result.total_critical();
-    }
-    core::emit_campaign_end(log, true, manifest.item_count, critical,
+    emit_merged_events(log, manifest, fx.universe, merged);
+    core::emit_campaign_end(log, true, manifest.item_count, merged.critical(),
                             std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - merge_start)
                                 .count());
@@ -1855,11 +1788,11 @@ int main(int argc, char** argv) {
         if (opt.command == "models") return cmd_models();
         if (opt.command == "profile") return cmd_profile(opt);
         if (opt.command == "plan") return cmd_plan(opt);
-        if (opt.command == "campaign") return cmd_campaign(opt);
-        // `activation` is sugar for `campaign --fault-model activation` —
-        // same durable path, same journal/resume semantics.
-        if (opt.command == "activation") return cmd_campaign(opt);
-        if (opt.command == "exhaustive") return cmd_exhaustive(opt);
+        // `activation` and `exhaustive` are sugar for `campaign` with the
+        // fault model / approach set — one pipeline, one journal contract.
+        if (opt.command == "campaign" || opt.command == "activation" ||
+            opt.command == "exhaustive")
+            return cmd_campaign(opt);
         if (opt.command == "shard") return cmd_shard(opt);
         if (opt.command == "serve") return cmd_serve(opt);
         if (opt.command == "report") return cmd_report(opt);
